@@ -17,19 +17,11 @@
 //! simulated time), so no threshold is enforced here — CI archives the
 //! artifact and the multi-core job demonstrates the scaling.
 
+use hongtu_bench::harness::{scaled_machine, BenchCli, Gate, JsonReport, JsonRow, GPU_COUNTS};
 use hongtu_core::{ExecutionMode, HongTuConfig, HongTuEngine};
-use hongtu_datasets::{load, DatasetKey};
 use hongtu_nn::ModelKind;
-use hongtu_sim::MachineConfig;
 use hongtu_tensor::SeededRng;
 use std::time::Instant;
-
-struct Sample {
-    gpus: usize,
-    seq_epoch_s: f64,
-    par_epoch_s: f64,
-    losses_bitwise_equal: bool,
-}
 
 fn run_epochs(
     ds: &hongtu_datasets::Dataset,
@@ -37,7 +29,7 @@ fn run_epochs(
     exec: ExecutionMode,
     epochs: usize,
 ) -> (f64, Vec<f32>) {
-    let mut cfg = HongTuConfig::full(MachineConfig::scaled(gpus, 512 << 20));
+    let mut cfg = HongTuConfig::full(scaled_machine(gpus));
     cfg.exec = exec;
     let mut engine =
         HongTuEngine::new(ds, ModelKind::Gcn, 32, 2, 4, cfg).expect("engine construction");
@@ -52,46 +44,17 @@ fn run_epochs(
 }
 
 fn main() {
-    let mut out = String::from("BENCH_parallel.json");
-    let mut epochs = 3usize;
-    let mut dataset = DatasetKey::Rdt;
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let Some(value) = it.next() else {
-            eprintln!(
-                "usage: bench_parallel [--out FILE] [--epochs N] [--dataset rdt|opt|it|opr|fds]"
-            );
-            std::process::exit(2);
-        };
-        match flag.as_str() {
-            "--out" => out = value,
-            "--epochs" => epochs = value.parse().expect("--epochs: positive integer"),
-            "--dataset" => {
-                dataset = match value.to_lowercase().as_str() {
-                    "rdt" => DatasetKey::Rdt,
-                    "opt" => DatasetKey::Opt,
-                    "it" => DatasetKey::It,
-                    "opr" => DatasetKey::Opr,
-                    "fds" => DatasetKey::Fds,
-                    other => {
-                        eprintln!("unknown dataset {other:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown flag {other:?}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let ds = load(dataset, &mut SeededRng::new(99));
+    let cli = BenchCli::parse("bench_parallel", "BENCH_parallel.json", 3);
+    let ds = hongtu_datasets::load(cli.dataset, &mut SeededRng::new(99));
     let threads = hongtu_parallel::global().num_threads();
-    let mut samples = Vec::new();
-    for gpus in [1usize, 2, 4] {
-        let (seq_s, seq_losses) = run_epochs(&ds, gpus, ExecutionMode::Sequential, epochs);
-        let (par_s, par_losses) = run_epochs(&ds, gpus, ExecutionMode::Parallel, epochs);
+    let mut report = JsonReport::new()
+        .str("dataset", cli.dataset.abbrev())
+        .int("epochs", cli.epochs as u64)
+        .int("threads", threads as u64);
+    let mut gate = Gate::new();
+    for gpus in GPU_COUNTS {
+        let (seq_s, seq_losses) = run_epochs(&ds, gpus, ExecutionMode::Sequential, cli.epochs);
+        let (par_s, par_losses) = run_epochs(&ds, gpus, ExecutionMode::Parallel, cli.epochs);
         let equal = seq_losses == par_losses;
         println!(
             "{gpus} GPUs: sequential {:.1} ms/epoch, parallel {:.1} ms/epoch ({:.2}x), losses {}",
@@ -100,38 +63,19 @@ fn main() {
             seq_s / par_s,
             if equal { "bitwise equal" } else { "DIVERGED" },
         );
-        samples.push(Sample {
-            gpus,
-            seq_epoch_s: seq_s,
-            par_epoch_s: par_s,
-            losses_bitwise_equal: equal,
-        });
+        report.sample(
+            JsonRow::new()
+                .int("gpus", gpus as u64)
+                .f64("seq_epoch_s", seq_s)
+                .f64("par_epoch_s", par_s)
+                .ratio("speedup", seq_s / par_s)
+                .bool("losses_bitwise_equal", equal),
+        );
+        gate.check(
+            equal,
+            &format!("{gpus} GPUs: parallel losses diverged from sequential"),
+        );
     }
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str(&format!("  \"dataset\": \"{}\",\n", dataset.abbrev()));
-    json.push_str(&format!("  \"epochs\": {epochs},\n"));
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-    json.push_str("  \"samples\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"gpus\": {}, \"seq_epoch_s\": {:.6}, \"par_epoch_s\": {:.6}, \
-             \"speedup\": {:.3}, \"losses_bitwise_equal\": {}}}{}\n",
-            s.gpus,
-            s.seq_epoch_s,
-            s.par_epoch_s,
-            s.seq_epoch_s / s.par_epoch_s,
-            s.losses_bitwise_equal,
-            if i + 1 < samples.len() { "," } else { "" },
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out, &json).expect("writing report");
-    println!("wrote {out}");
-
-    if samples.iter().any(|s| !s.losses_bitwise_equal) {
-        eprintln!("FAIL: parallel losses diverged from sequential");
-        std::process::exit(1);
-    }
+    report.write(&cli.out);
+    gate.finish();
 }

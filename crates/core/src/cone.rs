@@ -19,6 +19,7 @@
 //! [`ServeMask::from_dirty`]: crate::ServeMask::from_dirty
 
 use hongtu_partition::TwoLevelPartition;
+use hongtu_sim::SimError;
 
 /// Batch (chunk index) of each vertex: destination sets partition the
 /// vertex set across `(gpu, chunk)`, with the chunk id shared across
@@ -43,16 +44,24 @@ fn mark_active(batch_of: &[u32], set: &[bool], act: &mut [bool]) {
     }
 }
 
-/// Asserts the seed set is non-empty and in range, returning it as a
+/// Checks the seed set is non-empty and in range, returning it as a
 /// membership vector.
-fn seed_set(what: &str, num_v: usize, vertices: &[usize]) -> Vec<bool> {
-    assert!(!vertices.is_empty(), "{what}: empty {what}");
+fn seed_set(what: &'static str, num_v: usize, vertices: &[usize]) -> Result<Vec<bool>, SimError> {
+    if vertices.is_empty() {
+        return Err(SimError::EmptyVertexSet { what });
+    }
     let mut set = vec![false; num_v];
     for &v in vertices {
-        assert!(v < num_v, "{what}: vertex {v} out of range ({num_v})");
+        if v >= num_v {
+            return Err(SimError::VertexOutOfRange {
+                what,
+                vertex: v,
+                num_vertices: num_v,
+            });
+        }
         set[v] = true;
     }
-    set
+    Ok(set)
 }
 
 /// The downward-closed query cone: active batches per layer for a
@@ -71,17 +80,18 @@ fn seed_set(what: &str, num_v: usize, vertices: &[usize]) -> Vec<bool> {
 /// that is ever active, and gives the correctness induction: every row
 /// an active chunk reads at layer `l+1` was recomputed at layer `l`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `vertices` is empty or contains an out-of-range id.
+/// [`SimError::EmptyVertexSet`] if `vertices` is empty,
+/// [`SimError::VertexOutOfRange`] if it contains an out-of-range id.
 pub fn downward_closed(
     plan: &TwoLevelPartition,
     layers: usize,
     vertices: &[usize],
-) -> Vec<Vec<bool>> {
+) -> Result<Vec<Vec<bool>>, SimError> {
     let num_v = plan.assignment.partition_of.len();
     let batch_of = batch_of_vertices(plan);
-    let mut needed = seed_set("query", num_v, vertices);
+    let mut needed = seed_set("query", num_v, vertices)?;
     let mut active = vec![vec![false; plan.n]; layers];
     for l in (0..layers).rev() {
         // Batches holding any currently-needed vertex. `needed` only
@@ -98,7 +108,7 @@ pub fn downward_closed(
             }
         }
     }
-    active
+    Ok(active)
 }
 
 /// The upward-closed delta cone: active batches per layer for an
@@ -122,13 +132,18 @@ pub fn downward_closed(
 /// every row a replayed chunk reads at layer `l` is either untouched in
 /// `h^l` or was recomputed at layer `l−1`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `dirty` is empty or contains an out-of-range id.
-pub fn upward_closed(plan: &TwoLevelPartition, layers: usize, dirty: &[usize]) -> Vec<Vec<bool>> {
+/// [`SimError::EmptyVertexSet`] if `dirty` is empty,
+/// [`SimError::VertexOutOfRange`] if it contains an out-of-range id.
+pub fn upward_closed(
+    plan: &TwoLevelPartition,
+    layers: usize,
+    dirty: &[usize],
+) -> Result<Vec<Vec<bool>>, SimError> {
     let num_v = plan.assignment.partition_of.len();
     let batch_of = batch_of_vertices(plan);
-    let mut invalid = seed_set("dirty set", num_v, dirty);
+    let mut invalid = seed_set("dirty set", num_v, dirty)?;
     let mut active = vec![vec![false; plan.n]; layers];
     for l in 0..layers {
         // Batches holding any currently-invalid row. `invalid` only
@@ -154,7 +169,7 @@ pub fn upward_closed(plan: &TwoLevelPartition, layers: usize, dirty: &[usize]) -
         }
         invalid = next;
     }
-    active
+    Ok(active)
 }
 
 #[cfg(test)]
@@ -178,8 +193,8 @@ mod tests {
         // layer 0; upward: the dirty cone of v grows along out-edges
         // toward layer L−1. On a directed ring these sweep opposite
         // directions from the same seed.
-        let down = downward_closed(&plan, 3, &[4]);
-        let up = upward_closed(&plan, 3, &[4]);
+        let down = downward_closed(&plan, 3, &[4]).unwrap();
+        let up = upward_closed(&plan, 3, &[4]).unwrap();
         for l in 0..2 {
             for j in 0..plan.n {
                 assert!(!down[l + 1][j] || down[l][j], "downward closure broken");
@@ -199,7 +214,7 @@ mod tests {
         let batch_of = batch_of_vertices(&plan);
         // Dirty {0}: layer 0 recomputes 0's batch; out-neighbor 1 is
         // invalid from layer 1 on.
-        let up = upward_closed(&plan, 2, &[0]);
+        let up = upward_closed(&plan, 2, &[0]).unwrap();
         assert!(up[0][batch_of[0] as usize]);
         assert!(up[1][batch_of[1] as usize]);
         // Vertex 2 is two out-hops away — not reached in 2 layers
@@ -211,16 +226,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
-    fn upward_out_of_range_panics() {
+    fn bad_seed_sets_are_typed_errors() {
         let plan = ring_plan();
-        upward_closed(&plan, 1, &[99]);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn upward_empty_panics() {
-        let plan = ring_plan();
-        upward_closed(&plan, 1, &[]);
+        assert_eq!(
+            upward_closed(&plan, 1, &[99]),
+            Err(SimError::VertexOutOfRange {
+                what: "dirty set",
+                vertex: 99,
+                num_vertices: 8
+            })
+        );
+        assert_eq!(
+            downward_closed(&plan, 1, &[]),
+            Err(SimError::EmptyVertexSet { what: "query" })
+        );
     }
 }

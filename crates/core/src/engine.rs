@@ -47,15 +47,15 @@ use hongtu_nn::{
 };
 use hongtu_partition::{ChunkSubgraph, TwoLevelPartition};
 use hongtu_sim::{
-    Access, BarrierScope, ContribKind, Machine, MachineConfig, Provenance, Region, ResourceId,
-    SimError, TimeBuckets, Timeline, Trace,
+    Access, BarrierScope, ContribKind, GpuShard, Machine, MachineConfig, Provenance, Region,
+    ResourceId, SimError, TimeBuckets, Trace,
 };
 pub use hongtu_stream::OverlapMode;
 use hongtu_stream::{grad_slot, pipeline, rep_slot, StagingPlan, StreamId};
 use hongtu_tensor::{Adam, Matrix, SeededRng};
 use hongtu_verify::Report;
 pub use hongtu_verify::ValidationLevel;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::iter::repeat;
 use std::sync::Arc;
 
 const F32: usize = std::mem::size_of::<f32>();
@@ -84,17 +84,18 @@ pub enum MemoryStrategy {
     Hybrid,
 }
 
-/// How the engine drives the m simulated GPUs of each batch.
+/// How the engine runs the m per-GPU steps of each executor phase. Every
+/// step charges its own GPU's timeline shard and the shards join in GPU
+/// index order either way, so losses, gradients, simulated clocks, time
+/// buckets, and event traces are bitwise identical across modes; only
+/// host wall-clock changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
-    /// One thread charges every GPU's work in program order — the
-    /// reference schedule, cheapest for tiny graphs.
+    /// The calling thread runs the steps one GPU after the other —
+    /// cheapest for tiny graphs.
     Sequential,
-    /// One worker thread per simulated GPU on the `hongtu-parallel`
-    /// work-stealing pool, joined at the same phase/batch barriers the
-    /// sequential schedule uses. Losses, gradients, and simulated clocks
-    /// are bitwise identical to `Sequential` (and for interleaved
-    /// schedules the event trace is too); only host wall-clock changes.
+    /// One job per simulated GPU on the `hongtu-parallel` work-stealing
+    /// pool.
     Parallel,
 }
 
@@ -577,9 +578,7 @@ pub struct StaticMemoryBound {
 }
 
 /// Borrowed view of every precomputed artifact a [`Session`] executes —
-/// the unified plan surface ([`Session::plans`]). Prefer this over the
-/// individual getters (`plan()`, `dedup_plan()`, `staging_plans()`),
-/// which predate the cache subsystem and are deprecated.
+/// the unified plan surface ([`Session::plans`]).
 #[derive(Clone, Copy)]
 pub struct Plans<'a> {
     /// The 2-level partition (§4.1).
@@ -617,10 +616,11 @@ struct BatchComm {
 }
 
 /// Immutable view of the engine state a per-GPU step needs, split off
-/// from the engine so worker threads can share it while each thread
-/// mutates its own [`GpuShard`]. Built with the [`ctx!`] macro, whose
-/// field-by-field expansion gives the borrow checker disjoint borrows
-/// alongside `&mut self.machine`.
+/// from the engine so the m steps of a phase can share it (across
+/// worker threads in parallel mode) while each mutates its own
+/// [`GpuShard`]. Built with the [`ctx!`] macro, whose field-by-field
+/// expansion gives the borrow checker disjoint borrows alongside
+/// `&mut self.machine`.
 struct StepCtx<'a> {
     plan: &'a TwoLevelPartition,
     dedup: &'a DedupPlan,
@@ -1005,18 +1005,6 @@ impl Session {
         self.cache.as_ref()
     }
 
-    /// The partition plan in use.
-    #[deprecated(note = "use Session::plans().partition")]
-    pub fn plan(&self) -> &TwoLevelPartition {
-        &self.plan
-    }
-
-    /// The communication plan in use.
-    #[deprecated(note = "use Session::plans().dedup")]
-    pub fn dedup_plan(&self) -> &DedupPlan {
-        &self.dedup
-    }
-
     /// Preprocessing summary (volumes + modeled seconds).
     pub fn preprocessing(&self) -> &Preprocessing {
         &self.preprocessing
@@ -1025,13 +1013,6 @@ impl Session {
     /// The simulated machine (memory peaks, trace).
     pub fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// Per-GPU staging plans of the overlap executor (`None` when
-    /// overlap is off).
-    #[deprecated(note = "use Session::plans().staging")]
-    pub fn staging_plans(&self) -> Option<&[StagingPlan]> {
-        self.staging.as_deref()
     }
 
     /// The model under training.
@@ -1269,14 +1250,15 @@ impl Session {
     /// Symbolically synthesizes the pruned sweep a
     /// [`Session::serve`] call for `vertices` would execute — the
     /// serving counterpart of [`Session::synthesize_schedule`]. The
-    /// session itself is not perturbed.
+    /// session itself is not perturbed. Bad vertex sets fail as in
+    /// [`Session::serve`].
     pub fn synthesize_serve_schedule(&self, vertices: &[usize]) -> Result<Trace, SimError> {
         let mut s = self.clone_for_synthesis();
-        s.serve_mask = Some(ServeMask::from_queries(
+        s.serve_mask = Some(ServeMask::try_from_queries(
             &s.plan,
             s.model.num_layers(),
             vertices,
-        ));
+        )?);
         s.machine.replace_trace(Trace::unbounded());
         s.infer_epoch_inner()?;
         Ok(s.machine.replace_trace(Trace::disabled()))
@@ -1287,13 +1269,14 @@ impl Session {
     /// and runs the schedule passes (6–8) plus dataflow conservation
     /// (pass 9) over it. Skipped batches emit no `Aggregate` events, so
     /// the unmodified plan-derived [`hongtu_verify::DataflowSpec`]
-    /// certifies exactly the batches the sweep ran.
+    /// certifies exactly the batches the sweep ran. Bad vertex sets fail
+    /// as in [`Session::serve`].
     pub fn certify_serve(
         &self,
         vertices: &[usize],
         explore: Option<usize>,
     ) -> Result<Report, SimError> {
-        let mask = ServeMask::from_queries(&self.plan, self.model.num_layers(), vertices);
+        let mask = ServeMask::try_from_queries(&self.plan, self.model.num_layers(), vertices)?;
         let mut report = hongtu_verify::verify_cone(mask.grid(), hongtu_verify::ConeDir::Downward);
         let trace = self.synthesize_serve_schedule(vertices)?;
         report.merge(hongtu_verify::verify_schedule(&trace, explore));
@@ -1309,10 +1292,16 @@ impl Session {
     /// execute against the session's *current* plans — the delta
     /// counterpart of [`Session::synthesize_serve_schedule`]. Call it
     /// after the apply (on the rebuilt plans) to certify the replay
-    /// that just ran. The session itself is not perturbed.
+    /// that just ran. The session itself is not perturbed. An empty or
+    /// out-of-range `dirty` set fails with [`SimError::EmptyVertexSet`]
+    /// or [`SimError::VertexOutOfRange`].
     pub fn synthesize_delta_schedule(&self, dirty: &[usize]) -> Result<Trace, SimError> {
         let mut s = self.clone_for_synthesis();
-        s.serve_mask = Some(ServeMask::from_dirty(&s.plan, s.model.num_layers(), dirty));
+        s.serve_mask = Some(ServeMask::try_from_dirty(
+            &s.plan,
+            s.model.num_layers(),
+            dirty,
+        )?);
         s.machine.replace_trace(Trace::unbounded());
         s.infer_epoch_inner()?;
         Ok(s.machine.replace_trace(Trace::disabled()))
@@ -1325,13 +1314,14 @@ impl Session {
     /// passes (6–8) plus dataflow conservation (pass 9) over it.
     /// Skipped batches emit no `Aggregate` events, so the unmodified
     /// plan-derived [`hongtu_verify::DataflowSpec`] certifies exactly
-    /// the batches the replay ran.
+    /// the batches the replay ran. Bad `dirty` sets fail as in
+    /// [`Session::synthesize_delta_schedule`].
     pub fn certify_delta(
         &self,
         dirty: &[usize],
         explore: Option<usize>,
     ) -> Result<Report, SimError> {
-        let mask = ServeMask::from_dirty(&self.plan, self.model.num_layers(), dirty);
+        let mask = ServeMask::try_from_dirty(&self.plan, self.model.num_layers(), dirty)?;
         let mut report = hongtu_verify::verify_cone(mask.grid(), hongtu_verify::ConeDir::Upward);
         let trace = self.synthesize_delta_schedule(dirty)?;
         report.merge(hongtu_verify::verify_schedule(&trace, explore));
@@ -1545,7 +1535,7 @@ impl Session {
     /// ordering hazard, else the epoch fails with
     /// [`SimError::InvalidSchedule`]. This applies in release builds too —
     /// opting into `Paranoid` buys the certification, whatever the build
-    /// profile; it also certifies the parallel executor's schedules.
+    /// profile, and in either [`ExecutionMode`].
     /// Training and inference epochs share this wrapper, so inference
     /// schedules are held to the same certification bar.
     fn epoch_certified<R>(
@@ -1639,11 +1629,13 @@ impl Session {
     /// [`Session::staging_budget`] should be rejected there instead of
     /// running; `serve` itself executes whatever cone it is given.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `vertices` is empty or contains an out-of-range id.
+    /// [`SimError::EmptyVertexSet`] if `vertices` is empty and
+    /// [`SimError::VertexOutOfRange`] if it names a vertex the graph does
+    /// not have, before anything runs; otherwise the sweep's own errors.
     pub fn serve(&mut self, vertices: &[usize]) -> Result<ServeReport, SimError> {
-        let mask = ServeMask::from_queries(&self.plan, self.model.num_layers(), vertices);
+        let mask = ServeMask::try_from_queries(&self.plan, self.model.num_layers(), vertices)?;
         self.serve_mask = Some(mask);
         let result = self.epoch_certified(Self::infer_epoch_inner);
         let mask = self.serve_mask.take().expect("serve mask installed above");
@@ -1891,9 +1883,6 @@ impl Session {
         let b0 = self.machine.buckets();
         let l_count = self.model.num_layers();
         let n = self.plan.n;
-        let phased = self.config.comm != CommMode::Vanilla;
-        let parallel = self.config.exec == ExecutionMode::Parallel;
-        let overlap = self.config.overlap == OverlapMode::DoubleBuffer;
 
         // A batch's layer-0 host load runs iff layer 0 is active under
         // the serving/delta mask; the cache installs only those rows.
@@ -1906,21 +1895,7 @@ impl Session {
 
         // ---- forward pass only (Alg 1, lines 4–9, minus checkpoints) ----
         for l in 0..l_count {
-            if overlap {
-                if parallel {
-                    self.forward_layer_overlap_parallel(l);
-                } else {
-                    self.forward_layer_overlap_sequential(l);
-                }
-            } else {
-                for j in 0..n {
-                    if parallel {
-                        self.forward_batch_parallel(l, j, phased)?;
-                    } else {
-                        self.forward_batch_sequential(l, j, phased)?;
-                    }
-                }
-            }
+            self.forward_layer(l)?;
         }
         self.machine.sync(BarrierScope::Epoch);
         if let Some(c) = self.cache.as_mut() {
@@ -1944,13 +1919,6 @@ impl Session {
         let l_count = self.model.num_layers();
         let m = self.plan.m;
         let n = self.plan.n;
-        // Non-vanilla batches have cross-GPU data dependencies inside a
-        // batch (P2P fetches read what owners loaded; evictions read what
-        // remote GPUs pushed); those windows are separated by phase
-        // barriers. Vanilla batches touch only per-GPU state.
-        let phased = self.config.comm != CommMode::Vanilla;
-        let parallel = self.config.exec == ExecutionMode::Parallel;
-        let overlap = self.config.overlap == OverlapMode::DoubleBuffer;
 
         if !self.synth {
             for g in &mut self.grad_h {
@@ -1973,21 +1941,7 @@ impl Session {
 
         // ---- forward pass (Alg 1, lines 4–9) ----
         for l in 0..l_count {
-            if overlap {
-                if parallel {
-                    self.forward_layer_overlap_parallel(l);
-                } else {
-                    self.forward_layer_overlap_sequential(l);
-                }
-            } else {
-                for j in 0..n {
-                    if parallel {
-                        self.forward_batch_parallel(l, j, phased)?;
-                    } else {
-                        self.forward_batch_sequential(l, j, phased)?;
-                    }
-                }
-            }
+            self.forward_layer(l)?;
         }
         // The backward pass re-loads through checkpoint reloads, which
         // bypass the cache by design — the sweep ends with the forward.
@@ -2023,21 +1977,7 @@ impl Session {
         // ---- backward pass (lines 12–19) ----
         let mut grads: Vec<Vec<LayerGrads>> = (0..m).map(|_| self.model.zero_grads()).collect();
         for l in (0..l_count).rev() {
-            if overlap {
-                if parallel {
-                    self.backward_layer_overlap_parallel(l, &mut grads);
-                } else {
-                    self.backward_layer_overlap_sequential(l, &mut grads);
-                }
-            } else {
-                for j in 0..n {
-                    if parallel {
-                        self.backward_batch_parallel(l, j, phased, &mut grads)?;
-                    } else {
-                        self.backward_batch_sequential(l, j, phased, &mut grads)?;
-                    }
-                }
-            }
+            self.backward_layer(l, &mut grads)?;
         }
 
         // ---- parameter update with all-reduce (lines 20–21) ----
@@ -2070,125 +2010,97 @@ impl Session {
         })
     }
 
-    /// One forward batch on the sequential executor: per-GPU steps run in
-    /// GPU index order against the machine's own timeline. Host-store
-    /// writes are applied after the compute loop — a bitwise no-op
-    /// relative to inline application (destination rows are disjoint
-    /// across the batch's chunks and nothing reads `h^{l+1}` before the
-    /// batch barrier) that pins the write point to the same place the
-    /// parallel executor uses.
-    fn forward_batch_sequential(
+    /// Runs one executor step on every GPU: forks the machine into
+    /// per-GPU [`GpuShard`]s, calls `step` for GPU `i` with its shard and
+    /// the `i`-th item of `inputs`, and joins the shards back in GPU index
+    /// order. Returns the steps' results in GPU index order.
+    ///
+    /// This is the only place the [`ExecutionMode`] is read:
+    /// [`ExecutionMode::Sequential`] calls the steps inline, one GPU after
+    /// the other; [`ExecutionMode::Parallel`] runs them as jobs on the
+    /// `hongtu-parallel` pool. Steps see shared state only through the
+    /// read-only [`StepCtx`] and charge only their own shard, and the
+    /// join order is fixed, so both modes produce bitwise-identical
+    /// clocks, buckets, traces, and results.
+    fn on_each_gpu<I: Send, R: Send>(
         &mut self,
-        l: usize,
-        j: usize,
-        phased: bool,
-    ) -> Result<(), SimError> {
-        let m = self.plan.m;
-        let mut loads = Vec::with_capacity(m);
-        {
-            let ctx = ctx!(self);
-            for i in 0..m {
-                loads.push(forward_load_step(&ctx, &mut self.machine, l, i, j)?);
+        inputs: impl IntoIterator<Item = I>,
+        step: impl Fn(&StepCtx, &mut GpuShard, usize, I) -> R + Sync,
+    ) -> Vec<R> {
+        let mut shards = self.machine.fork_shards();
+        let ctx = ctx!(self);
+        let (ctx, step) = (&ctx, &step);
+        let jobs = shards.iter_mut().zip(inputs);
+        let out = match self.config.exec {
+            ExecutionMode::Sequential => jobs
+                .map(|(tl, x)| {
+                    let i = tl.gpu();
+                    step(ctx, tl, i, x)
+                })
+                .collect(),
+            ExecutionMode::Parallel => {
+                let mut slots: Vec<Option<R>> = (0..self.plan.m).map(|_| None).collect();
+                hongtu_parallel::global().scope(|s| {
+                    for ((tl, x), slot) in jobs.zip(&mut slots) {
+                        s.spawn(move || {
+                            let i = tl.gpu();
+                            *slot = Some(step(ctx, tl, i, x));
+                        });
+                    }
+                });
+                slots
+                    .into_iter()
+                    .map(|r| r.expect("worker task did not run"))
+                    .collect()
             }
-        }
-        if phased {
-            // Host loads populate the transition rows that remote GPUs
-            // fetch over P2P in the next phase.
-            self.machine.sync(BarrierScope::Phase);
-        }
-        let mut outs = Vec::with_capacity(m);
-        {
-            let ctx = ctx!(self);
-            for (i, load) in loads.iter().enumerate() {
-                outs.push(forward_compute_step(
-                    &ctx,
-                    &mut self.machine,
-                    l,
-                    i,
-                    j,
-                    load.buf_bytes,
-                    &NbrFeed::Direct,
-                )?);
-            }
-        }
-        self.apply_forward_outs(l, j, outs);
-        self.machine.sync(BarrierScope::Batch);
-        Ok(())
+        };
+        self.machine.join_shards(shards);
+        out
     }
 
-    /// One forward batch on the parallel executor: the m GPUs' load and
-    /// compute steps each run on worker threads against forked per-GPU
-    /// timeline shards, joined in GPU index order at exactly the points
-    /// where the sequential executor places its barriers. Owner GPUs hand
-    /// the neighbor rows they serve over typed channels during the load
-    /// phase, so the compute phase never blocks on a receive.
-    fn forward_batch_parallel(&mut self, l: usize, j: usize, phased: bool) -> Result<(), SimError> {
-        let m = self.plan.m;
-        // -- load phase (plus P2P serves into the per-GPU channels) --
-        let mut shards = self.machine.fork_shards();
-        let (txs, rxs): (Vec<Sender<ServeBlock>>, Vec<Receiver<ServeBlock>>) =
-            (0..m).map(|_| mpsc::channel()).unzip();
-        let mut load_slots: Vec<Option<Result<FwLoad, SimError>>> = (0..m).map(|_| None).collect();
-        {
-            let ctx = ctx!(self);
-            let ctx = &ctx;
-            let txs = &txs;
-            hongtu_parallel::global().scope(|s| {
-                for (shard, slot) in shards.iter_mut().zip(load_slots.iter_mut()) {
-                    let txs = txs.to_vec();
-                    s.spawn(move || {
-                        let i = shard.gpu();
-                        let r = forward_load_step(ctx, shard, l, i, j);
-                        if phased && r.is_ok() {
-                            serve_neighbor_rows(ctx, l, i, j, &txs);
-                        }
-                        *slot = Some(r);
-                    });
-                }
-            });
+    /// One forward layer under the configured [`OverlapMode`].
+    fn forward_layer(&mut self, l: usize) -> Result<(), SimError> {
+        match self.config.overlap {
+            OverlapMode::Off => (0..self.plan.n).try_for_each(|j| self.forward_batch(l, j)),
+            OverlapMode::DoubleBuffer => {
+                self.forward_layer_overlap(l);
+                Ok(())
+            }
         }
-        drop(txs);
-        self.machine.join_shards(shards);
-        let loads = collect_slots(load_slots)?;
-        if phased {
+    }
+
+    /// One backward layer under the configured [`OverlapMode`].
+    fn backward_layer(&mut self, l: usize, grads: &mut [Vec<LayerGrads>]) -> Result<(), SimError> {
+        match self.config.overlap {
+            OverlapMode::Off => (0..self.plan.n).try_for_each(|j| self.backward_batch(l, j, grads)),
+            OverlapMode::DoubleBuffer => {
+                self.backward_layer_overlap(l, grads);
+                Ok(())
+            }
+        }
+    }
+
+    /// One forward batch of the phased schedule: every GPU loads its host
+    /// rows; a phase barrier (non-vanilla comm modes, whose P2P fetches
+    /// read what owners loaded) publishes them; every GPU fetches and
+    /// computes. If any GPU fails, the lowest-indexed error is returned;
+    /// errors are terminal.
+    fn forward_batch(&mut self, l: usize, j: usize) -> Result<(), SimError> {
+        let loads = self
+            .on_each_gpu(repeat(()), |ctx, tl, i, ()| {
+                forward_load_step(ctx, tl, l, i, j)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        if self.config.comm != CommMode::Vanilla {
             self.machine.sync(BarrierScope::Phase);
         }
-
-        // -- compute phase --
-        let mut shards = self.machine.fork_shards();
-        let mut out_slots: Vec<Option<Result<FwOut, SimError>>> = (0..m).map(|_| None).collect();
-        {
-            let ctx = ctx!(self);
-            let ctx = &ctx;
-            hongtu_parallel::global().scope(|s| {
-                for (((shard, slot), load), rx) in shards
-                    .iter_mut()
-                    .zip(out_slots.iter_mut())
-                    .zip(loads.iter())
-                    .zip(rxs)
-                {
-                    s.spawn(move || {
-                        let i = shard.gpu();
-                        let feed = if phased {
-                            NbrFeed::Served(rx.try_iter().collect())
-                        } else {
-                            NbrFeed::Direct
-                        };
-                        *slot = Some(forward_compute_step(
-                            ctx,
-                            shard,
-                            l,
-                            i,
-                            j,
-                            load.buf_bytes,
-                            &feed,
-                        ));
-                    });
-                }
-            });
-        }
-        self.machine.join_shards(shards);
-        let outs = collect_slots(out_slots)?;
+        let outs = self
+            .on_each_gpu(&loads, |ctx, tl, i, &buf_bytes| {
+                forward_compute_step(ctx, tl, l, i, j, buf_bytes)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         self.apply_forward_outs(l, j, outs);
         self.machine.sync(BarrierScope::Batch);
         Ok(())
@@ -2221,167 +2133,39 @@ impl Session {
         }
     }
 
-    /// One backward batch on the sequential executor; like
-    /// [`HongTuEngine::forward_batch_sequential`], the overlapping
-    /// `∇h^l` accumulations are applied after the compute loop in GPU
-    /// index order (identical f32 summation order to inline application,
-    /// since the loop itself ran in that order and nothing in it reads
-    /// `∇h^l`).
-    fn backward_batch_sequential(
+    /// One backward batch of the phased schedule: load, compute, and
+    /// evict steps on every GPU. In non-vanilla comm modes phase barriers
+    /// separate them: evictions read the transition-gradient buffers that
+    /// remote GPUs push into during the compute phase.
+    fn backward_batch(
         &mut self,
         l: usize,
         j: usize,
-        phased: bool,
         grads: &mut [Vec<LayerGrads>],
     ) -> Result<(), SimError> {
-        let m = self.plan.m;
-        let mut loads = Vec::with_capacity(m);
-        {
-            let ctx = ctx!(self);
-            for i in 0..m {
-                loads.push(backward_load_step(&ctx, &mut self.machine, l, i, j)?);
-            }
-        }
+        let phased = self.config.comm != CommMode::Vanilla;
+        let loads = self
+            .on_each_gpu(repeat(()), |ctx, tl, i, ()| {
+                backward_load_step(ctx, tl, l, i, j)
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         if phased {
             self.machine.sync(BarrierScope::Phase);
         }
-        let mut grad_nbrs = Vec::with_capacity(m);
-        {
-            let ctx = ctx!(self);
-            for (i, load) in loads.iter().enumerate() {
-                grad_nbrs.push(backward_compute_step(
-                    &ctx,
-                    &mut self.machine,
-                    l,
-                    i,
-                    j,
-                    load,
-                    &mut grads[i][l],
-                    &NbrFeed::Direct,
-                )?);
-            }
-        }
-        self.apply_backward_grads(l, j, grad_nbrs);
-        if phased {
-            // Evictions read the transition-gradient buffers that remote
-            // GPUs accumulate into during the compute phase.
-            self.machine.sync(BarrierScope::Phase);
-        }
-        {
-            let ctx = ctx!(self);
-            for (i, load) in loads.iter().enumerate() {
-                backward_evict_step(&ctx, &mut self.machine, l, i, j, load);
-            }
-        }
-        self.machine.sync(BarrierScope::Batch);
-        Ok(())
-    }
-
-    /// One backward batch on the parallel executor: load / compute /
-    /// evict sub-phases each fork per-GPU shards, and the recompute
-    /// path's neighbor reload is fed through the same typed serve
-    /// channels as the forward pass.
-    fn backward_batch_parallel(
-        &mut self,
-        l: usize,
-        j: usize,
-        phased: bool,
-        grads: &mut [Vec<LayerGrads>],
-    ) -> Result<(), SimError> {
-        let m = self.plan.m;
-        // The hybrid path reloads the cached aggregate instead of
-        // neighbor representations — no serves needed.
-        let serve = phased
-            && !(self.config.memory == MemoryStrategy::Hybrid
-                && self.model.layer(l).supports_agg_cache());
-
-        // -- load phase (plus serves for the recompute reload) --
-        let mut shards = self.machine.fork_shards();
-        let (txs, rxs): (Vec<Sender<ServeBlock>>, Vec<Receiver<ServeBlock>>) =
-            (0..m).map(|_| mpsc::channel()).unzip();
-        let mut load_slots: Vec<Option<Result<BwLoad, SimError>>> = (0..m).map(|_| None).collect();
-        {
-            let ctx = ctx!(self);
-            let ctx = &ctx;
-            let txs = &txs;
-            hongtu_parallel::global().scope(|s| {
-                for (shard, slot) in shards.iter_mut().zip(load_slots.iter_mut()) {
-                    let txs = txs.to_vec();
-                    s.spawn(move || {
-                        let i = shard.gpu();
-                        let r = backward_load_step(ctx, shard, l, i, j);
-                        if serve && r.is_ok() {
-                            serve_neighbor_rows(ctx, l, i, j, &txs);
-                        }
-                        *slot = Some(r);
-                    });
-                }
-            });
-        }
-        drop(txs);
-        self.machine.join_shards(shards);
-        let loads = collect_slots(load_slots)?;
-        if phased {
-            self.machine.sync(BarrierScope::Phase);
-        }
-
-        // -- compute phase --
-        let mut shards = self.machine.fork_shards();
-        let mut out_slots: Vec<Option<Result<Matrix, SimError>>> = (0..m).map(|_| None).collect();
-        {
-            let ctx = ctx!(self);
-            let ctx = &ctx;
-            hongtu_parallel::global().scope(|s| {
-                for ((((shard, slot), load), gpu_grads), rx) in shards
-                    .iter_mut()
-                    .zip(out_slots.iter_mut())
-                    .zip(loads.iter())
-                    .zip(grads.iter_mut())
-                    .zip(rxs)
-                {
-                    s.spawn(move || {
-                        let i = shard.gpu();
-                        let feed = if serve {
-                            NbrFeed::Served(rx.try_iter().collect())
-                        } else {
-                            NbrFeed::Direct
-                        };
-                        *slot = Some(backward_compute_step(
-                            ctx,
-                            shard,
-                            l,
-                            i,
-                            j,
-                            load,
-                            &mut gpu_grads[l],
-                            &feed,
-                        ));
-                    });
-                }
-            });
-        }
-        self.machine.join_shards(shards);
-        let grad_nbrs = collect_slots(out_slots)?;
+        let grad_nbrs = self
+            .on_each_gpu(loads.iter().zip(grads), |ctx, tl, i, (load, g)| {
+                backward_compute_step(ctx, tl, l, i, j, load, &mut g[l])
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         self.apply_backward_grads(l, j, grad_nbrs);
         if phased {
             self.machine.sync(BarrierScope::Phase);
         }
-
-        // -- evict phase --
-        let mut shards = self.machine.fork_shards();
-        {
-            let ctx = ctx!(self);
-            let ctx = &ctx;
-            hongtu_parallel::global().scope(|s| {
-                for (shard, load) in shards.iter_mut().zip(loads.iter()) {
-                    s.spawn(move || {
-                        let i = shard.gpu();
-                        backward_evict_step(ctx, shard, l, i, j, load);
-                    });
-                }
-            });
-        }
-        self.machine.join_shards(shards);
+        self.on_each_gpu(&loads, |ctx, tl, i, load| {
+            backward_evict_step(ctx, tl, l, i, j, load)
+        });
         self.machine.sync(BarrierScope::Batch);
         Ok(())
     }
@@ -2403,248 +2187,71 @@ impl Session {
         }
     }
 
-    /// One forward layer under the overlap executor, sequential host
-    /// execution: the segments of [`hongtu_stream::pipeline`] run their
-    /// three roles on the three per-GPU streams between batch barriers,
-    /// so a segment costs the *maximum* of prefetch, compute, and drain
-    /// instead of their sum. Host-store writes are still leader-applied
-    /// in GPU index order, so results are bitwise identical to the
-    /// non-overlapped executor.
-    fn forward_layer_overlap_sequential(&mut self, l: usize) {
-        let m = self.plan.m;
+    /// One forward layer under the overlap executor: the segments of
+    /// [`hongtu_stream::pipeline`] run their three roles (prefetch,
+    /// compute, drain) on the three per-GPU streams between barriers, so
+    /// a segment costs the *maximum* of the three instead of their sum.
+    /// Host-store writes are leader-applied in GPU index order, so
+    /// results are bitwise identical to the phased schedule.
+    fn forward_layer_overlap(&mut self, l: usize) {
         for seg in pipeline(self.plan.n) {
-            let mut outs = Vec::with_capacity(m);
-            {
-                let ctx = ctx!(self);
-                if let Some(p) = seg.prefetch {
-                    for i in 0..m {
-                        ov_forward_prefetch(&ctx, &mut self.machine, l, i, p);
-                    }
-                }
-                if let Some(c) = seg.compute {
-                    for i in 0..m {
-                        outs.push(ov_forward_compute(&ctx, &mut self.machine, l, i, c));
-                    }
-                }
-                if let Some(d) = seg.drain {
-                    for i in 0..m {
-                        ov_forward_drain(&ctx, &mut self.machine, l, i, d);
-                    }
-                }
+            if let Some(p) = seg.prefetch {
+                self.on_each_gpu(repeat(()), |ctx, tl, i, ()| {
+                    ov_forward_prefetch(ctx, tl, l, i, p)
+                });
             }
-            if let Some(c) = seg.compute {
-                self.apply_forward_outs(l, c, outs);
-                self.machine.sync(BarrierScope::Batch);
-            } else {
+            let outs = seg.compute.map(|c| {
+                let outs = self.on_each_gpu(repeat(()), |ctx, tl, i, ()| {
+                    ov_forward_compute(ctx, tl, l, i, c)
+                });
+                (c, outs)
+            });
+            if let Some(d) = seg.drain {
+                self.on_each_gpu(repeat(()), |ctx, tl, i, ()| {
+                    ov_forward_drain(ctx, tl, l, i, d)
+                });
+            }
+            match outs {
+                Some((c, outs)) => {
+                    self.apply_forward_outs(l, c, outs);
+                    self.machine.sync(BarrierScope::Batch);
+                }
                 // Prologue/epilogue segments only move data; a phase
                 // barrier publishes it without advancing the batch count.
-                self.machine.sync(BarrierScope::Phase);
+                None => self.machine.sync(BarrierScope::Phase),
             }
         }
     }
 
-    /// One forward layer under the overlap executor, parallel host
-    /// execution: each segment's three roles fork per-GPU shards in
-    /// turn, joined in GPU index order, so clocks, traces, and results
-    /// are bitwise identical to the sequential overlap driver. `h^l` is
-    /// frozen for the whole layer (writes go to `h^{l+1}`), so workers
-    /// gather neighbor rows straight from the host store — no serve
-    /// channels needed.
-    fn forward_layer_overlap_parallel(&mut self, l: usize) {
-        let m = self.plan.m;
-        for seg in pipeline(self.plan.n) {
-            if let Some(p) = seg.prefetch {
-                let mut shards = self.machine.fork_shards();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    hongtu_parallel::global().scope(|s| {
-                        for shard in shards.iter_mut() {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                ov_forward_prefetch(ctx, shard, l, i, p);
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-            }
-            let mut outs = Vec::new();
-            if let Some(c) = seg.compute {
-                let mut shards = self.machine.fork_shards();
-                let mut slots: Vec<Option<FwOut>> = (0..m).map(|_| None).collect();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    hongtu_parallel::global().scope(|s| {
-                        for (shard, slot) in shards.iter_mut().zip(slots.iter_mut()) {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                *slot = Some(ov_forward_compute(ctx, shard, l, i, c));
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-                outs = slots
-                    .into_iter()
-                    .map(|s| s.expect("worker task did not run"))
-                    .collect();
-            }
-            if let Some(d) = seg.drain {
-                let mut shards = self.machine.fork_shards();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    hongtu_parallel::global().scope(|s| {
-                        for shard in shards.iter_mut() {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                ov_forward_drain(ctx, shard, l, i, d);
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-            }
-            if let Some(c) = seg.compute {
-                self.apply_forward_outs(l, c, outs);
-                self.machine.sync(BarrierScope::Batch);
-            } else {
-                self.machine.sync(BarrierScope::Phase);
-            }
-        }
-    }
-
-    /// One backward layer under the overlap executor, sequential host
-    /// execution. The `∇h^{l+1}` gathers prefetched a segment early are
-    /// carried in a two-slot host staging mirror of the device slots.
-    fn backward_layer_overlap_sequential(&mut self, l: usize, grads: &mut [Vec<LayerGrads>]) {
-        let m = self.plan.m;
-        let mut staged: [Vec<Matrix>; 2] = [Vec::new(), Vec::new()];
-        for seg in pipeline(self.plan.n) {
-            let mut grad_nbrs = Vec::with_capacity(m);
-            {
-                let ctx = ctx!(self);
-                if let Some(p) = seg.prefetch {
-                    staged[p % 2] = (0..m)
-                        .map(|i| ov_backward_prefetch(&ctx, &mut self.machine, l, i, p))
-                        .collect();
-                }
-                if let Some(c) = seg.compute {
-                    for i in 0..m {
-                        grad_nbrs.push(ov_backward_compute(
-                            &ctx,
-                            &mut self.machine,
-                            l,
-                            i,
-                            c,
-                            &staged[c % 2][i],
-                            &mut grads[i][l],
-                        ));
-                    }
-                }
-                if let Some(d) = seg.drain {
-                    for i in 0..m {
-                        ov_backward_drain(&ctx, &mut self.machine, l, i, d);
-                    }
-                }
-            }
-            if let Some(c) = seg.compute {
-                self.apply_backward_grads(l, c, grad_nbrs);
-                self.machine.sync(BarrierScope::Batch);
-            } else {
-                self.machine.sync(BarrierScope::Phase);
-            }
-        }
-    }
-
-    /// One backward layer under the overlap executor, parallel host
-    /// execution; the per-segment fork/join structure mirrors
-    /// [`HongTuEngine::forward_layer_overlap_parallel`]. `∇h^{l+1}` is
-    /// frozen for the whole layer, so workers gather directly.
-    fn backward_layer_overlap_parallel(&mut self, l: usize, grads: &mut [Vec<LayerGrads>]) {
-        let m = self.plan.m;
+    /// One backward layer under the overlap executor. The `∇h^{l+1}`
+    /// rows prefetched a segment early are carried in a two-slot host
+    /// staging mirror of the device slots.
+    fn backward_layer_overlap(&mut self, l: usize, grads: &mut [Vec<LayerGrads>]) {
         let mut staged: [Vec<Matrix>; 2] = [Vec::new(), Vec::new()];
         for seg in pipeline(self.plan.n) {
             if let Some(p) = seg.prefetch {
-                let mut shards = self.machine.fork_shards();
-                let mut slots: Vec<Option<Matrix>> = (0..m).map(|_| None).collect();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    hongtu_parallel::global().scope(|s| {
-                        for (shard, slot) in shards.iter_mut().zip(slots.iter_mut()) {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                *slot = Some(ov_backward_prefetch(ctx, shard, l, i, p));
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-                staged[p % 2] = slots
-                    .into_iter()
-                    .map(|s| s.expect("worker task did not run"))
-                    .collect();
+                staged[p % 2] = self.on_each_gpu(repeat(()), |ctx, tl, i, ()| {
+                    ov_backward_prefetch(ctx, tl, l, i, p)
+                });
             }
-            let mut grad_nbrs = Vec::new();
-            if let Some(c) = seg.compute {
-                let mut shards = self.machine.fork_shards();
-                let mut slots: Vec<Option<Matrix>> = (0..m).map(|_| None).collect();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    let staged_c = &staged[c % 2];
-                    hongtu_parallel::global().scope(|s| {
-                        for (((shard, slot), go), gpu_grads) in shards
-                            .iter_mut()
-                            .zip(slots.iter_mut())
-                            .zip(staged_c.iter())
-                            .zip(grads.iter_mut())
-                        {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                *slot = Some(ov_backward_compute(
-                                    ctx,
-                                    shard,
-                                    l,
-                                    i,
-                                    c,
-                                    go,
-                                    &mut gpu_grads[l],
-                                ));
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
-                grad_nbrs = slots
-                    .into_iter()
-                    .map(|s| s.expect("worker task did not run"))
-                    .collect();
-            }
+            let grad_nbrs = seg.compute.map(|c| {
+                let inputs = staged[c % 2].iter().zip(grads.iter_mut());
+                let grad_nbrs = self.on_each_gpu(inputs, |ctx, tl, i, (grad_out, g)| {
+                    ov_backward_compute(ctx, tl, l, i, c, grad_out, &mut g[l])
+                });
+                (c, grad_nbrs)
+            });
             if let Some(d) = seg.drain {
-                let mut shards = self.machine.fork_shards();
-                {
-                    let ctx = ctx!(self);
-                    let ctx = &ctx;
-                    hongtu_parallel::global().scope(|s| {
-                        for shard in shards.iter_mut() {
-                            s.spawn(move || {
-                                let i = shard.gpu();
-                                ov_backward_drain(ctx, shard, l, i, d);
-                            });
-                        }
-                    });
-                }
-                self.machine.join_shards(shards);
+                self.on_each_gpu(repeat(()), |ctx, tl, i, ()| {
+                    ov_backward_drain(ctx, tl, l, i, d)
+                });
             }
-            if let Some(c) = seg.compute {
-                self.apply_backward_grads(l, c, grad_nbrs);
-                self.machine.sync(BarrierScope::Batch);
-            } else {
-                self.machine.sync(BarrierScope::Phase);
+            match grad_nbrs {
+                Some((c, grad_nbrs)) => {
+                    self.apply_backward_grads(l, c, grad_nbrs);
+                    self.machine.sync(BarrierScope::Batch);
+                }
+                None => self.machine.sync(BarrierScope::Phase),
             }
         }
     }
@@ -2817,18 +2424,6 @@ impl HongTuEngine {
         self.session.plans()
     }
 
-    /// The partition plan in use.
-    #[deprecated(note = "use HongTuEngine::plans().partition")]
-    pub fn plan(&self) -> &TwoLevelPartition {
-        self.session.plans().partition
-    }
-
-    /// The communication plan in use.
-    #[deprecated(note = "use HongTuEngine::plans().dedup")]
-    pub fn dedup_plan(&self) -> &DedupPlan {
-        self.session.plans().dedup
-    }
-
     /// Preprocessing summary (volumes + modeled seconds).
     pub fn preprocessing(&self) -> &Preprocessing {
         self.session.preprocessing()
@@ -2843,13 +2438,6 @@ impl HongTuEngine {
     /// unbounded event trace before certifying an epoch schedule.
     pub fn machine_mut(&mut self) -> &mut Machine {
         self.session.machine_mut()
-    }
-
-    /// Per-GPU staging plans of the overlap executor (`None` when
-    /// overlap is off).
-    #[deprecated(note = "use HongTuEngine::plans().staging")]
-    pub fn staging_plans(&self) -> Option<&[StagingPlan]> {
-        self.session.plans().staging
     }
 
     /// The model under training.
@@ -2884,12 +2472,6 @@ impl HongTuEngine {
     }
 }
 
-/// Per-GPU scratch carried from the load phase to the compute phase of a
-/// forward batch.
-struct FwLoad {
-    buf_bytes: usize,
-}
-
 /// Per-GPU scratch carried across the load/compute/evict phases of a
 /// backward batch.
 struct BwLoad {
@@ -2901,40 +2483,11 @@ struct BwLoad {
 
 /// Output of one GPU's forward compute step. The `h^{l+1}` scatter and
 /// the hybrid checkpoint store are applied by the leader after the
-/// compute phase, in GPU index order, so worker threads never write the
-/// shared host store.
+/// compute phase, in GPU index order, so steps never write the shared
+/// host store.
 struct FwOut {
     out: Matrix,
     agg: Option<Matrix>,
-}
-
-/// Rows of `h^l` that owner GPU `src` serves to a fetching GPU, handed
-/// through a typed channel during the load phase of a parallel batch.
-struct ServeBlock {
-    src: usize,
-    rows: Matrix,
-}
-
-/// Where a compute step's neighbor representations come from.
-enum NbrFeed {
-    /// Gather straight from the host store (sequential executor, and
-    /// parallel phases without inter-GPU serves).
-    Direct,
-    /// Blocks served by remote owner GPUs over typed channels; rows this
-    /// GPU owns still come from the host store.
-    Served(Vec<ServeBlock>),
-}
-
-/// Unwraps the per-GPU result slots filled by a parallel phase. Every
-/// worker runs to completion before the scope returns, so on error the
-/// machine state is consistent and the *lowest-indexed* failure is
-/// propagated (errors are terminal, so sequential/parallel machine-state
-/// parity is not required past this point).
-fn collect_slots<V>(slots: Vec<Option<Result<V, SimError>>>) -> Result<Vec<V>, SimError> {
-    slots
-        .into_iter()
-        .map(|s| s.expect("worker task did not run"))
-        .collect()
 }
 
 /// Placeholder forward output for schedule synthesis: zero tensors of
@@ -2951,51 +2504,12 @@ fn synth_forward(layer: &dyn GnnLayer, chunk: &ChunkSubgraph) -> LayerForward {
     }
 }
 
-/// Sends every neighbor row owned by `server` that a remote GPU needs for
-/// batch `j` down that GPU's channel, in neighbor order. All sends finish
-/// inside the load phase — before any compute step receives — so the
-/// compute-phase drain never blocks, at any pool size. The simulated
-/// *cost* of inter-GPU traffic is charged separately (per the dedup plan)
-/// by [`charge_neighbor_fetch`]; these channels only carry the data.
-fn serve_neighbor_rows(
-    ctx: &StepCtx,
-    l: usize,
-    server: usize,
-    j: usize,
-    txs: &[Sender<ServeBlock>],
-) {
-    if ctx.pruned(l, j) {
-        return;
-    }
-    let owner = &ctx.plan.assignment.partition_of;
-    for (i, tx) in txs.iter().enumerate() {
-        if i == server {
-            continue;
-        }
-        let idx: Vec<usize> = ctx.plan.chunks[i][j]
-            .neighbors
-            .iter()
-            .map(|&v| v as usize)
-            .filter(|&v| owner[v] as usize == server)
-            .collect();
-        if !idx.is_empty() {
-            // A fetcher that failed its load step may have dropped its
-            // receiver; a closed channel is not an error here.
-            let rows = if ctx.synth {
-                Matrix::zeros(idx.len(), ctx.h[l].cols())
-            } else {
-                ctx.h[l].gather_rows(&idx)
-            };
-            let _ = tx.send(ServeBlock { src: server, rows });
-        }
-    }
-}
-
-/// Assembles `h^l_{N_ij}` for GPU `i`: directly from the host store, or
-/// by merging served blocks with locally-owned rows. Served rows are
-/// copies of the same host rows in the same neighbor-order sequence, so
-/// both paths produce bitwise-identical matrices.
-fn assemble_neighbors(ctx: &StepCtx, l: usize, i: usize, j: usize, feed: &NbrFeed) -> Matrix {
+/// Gathers `h^l_{N_ij}` for GPU `i` straight from the host store. No
+/// step ever writes `h^l` while another step of the same layer reads it
+/// (forward writes go to `h^{l+1}`, backward writes to `∇h^l`, and both
+/// are leader-applied after the join), so a direct gather sees exactly
+/// the rows the owner GPUs loaded, in any execution mode.
+fn gather_neighbors(ctx: &StepCtx, l: usize, i: usize, j: usize) -> Matrix {
     let chunk = &ctx.plan.chunks[i][j];
     if ctx.synth {
         // Schedule synthesis: only the shape matters (downstream charges
@@ -3003,57 +2517,26 @@ fn assemble_neighbors(ctx: &StepCtx, l: usize, i: usize, j: usize, feed: &NbrFee
         return Matrix::zeros(chunk.neighbors.len(), ctx.h[l].cols());
     }
     let nbr_idx: Vec<usize> = chunk.neighbors.iter().map(|&v| v as usize).collect();
-    let blocks = match feed {
-        NbrFeed::Direct => return ctx.h[l].gather_rows(&nbr_idx),
-        NbrFeed::Served(blocks) => blocks,
-    };
-    let m = ctx.plan.m;
-    let mut block_of: Vec<Option<&Matrix>> = vec![None; m];
-    for b in blocks {
-        debug_assert!(
-            block_of[b.src].is_none(),
-            "duplicate serve block from GPU {}",
-            b.src
-        );
-        block_of[b.src] = Some(&b.rows);
-    }
-    let owner = &ctx.plan.assignment.partition_of;
-    let mut out = Matrix::zeros(nbr_idx.len(), ctx.h[l].cols());
-    let mut cursor = vec![0usize; m];
-    for (r, &v) in nbr_idx.iter().enumerate() {
-        let o = owner[v] as usize;
-        let src_row = if o == i {
-            ctx.h[l].row(v)
-        } else {
-            let blk = block_of[o]
-                .unwrap_or_else(|| panic!("no serve block from GPU {o} for fetcher {i} batch {j}"));
-            let row = blk.row(cursor[o]);
-            cursor[o] += 1;
-            row
-        };
-        out.row_mut(r).copy_from_slice(src_row);
-    }
-    out
+    ctx.h[l].gather_rows(&nbr_idx)
 }
 
 /// Load phase of forward batch `j` at layer `l` for GPU `i`:
 /// Algorithm 2's host-side loads (ℕ^cpu over PCIe, ℕ^gpu in-place
-/// reuse). Inter-GPU fetches wait for the phase barrier.
-fn forward_load_step<T: Timeline>(
+/// reuse). Inter-GPU fetches wait for the phase barrier. Returns the
+/// bytes of the neighbor buffer the compute phase releases.
+fn forward_load_step(
     ctx: &StepCtx,
-    tl: &mut T,
+    tl: &mut GpuShard,
     l: usize,
     i: usize,
     j: usize,
-) -> Result<FwLoad, SimError> {
+) -> Result<usize, SimError> {
     if ctx.pruned(l, j) {
-        return Ok(FwLoad { buf_bytes: 0 });
+        return Ok(0);
     }
     let row = ctx.model.layer(l).in_dim() * F32;
     let rows = charge_neighbor_host_load(ctx, tl, l, i, j, row)?;
-    Ok(FwLoad {
-        buf_bytes: rows * row,
-    })
+    Ok(rows * row)
 }
 
 /// Compute phase of forward batch `j` at layer `l` for GPU `i`:
@@ -3061,15 +2544,13 @@ fn forward_load_step<T: Timeline>(
 /// `h^{l+1}` writeback (Alg 1 line 9) plus the hybrid checkpoint store.
 /// The host-store writes themselves are returned as a [`FwOut`] and
 /// applied by the leader.
-#[allow(clippy::too_many_arguments)]
-fn forward_compute_step<T: Timeline>(
+fn forward_compute_step(
     ctx: &StepCtx,
-    tl: &mut T,
+    tl: &mut GpuShard,
     l: usize,
     i: usize,
     j: usize,
     buf_bytes: usize,
-    feed: &NbrFeed,
 ) -> Result<FwOut, SimError> {
     if ctx.pruned(l, j) {
         return Ok(FwOut {
@@ -3103,8 +2584,7 @@ fn forward_compute_step<T: Timeline>(
     let f = if ctx.synth {
         synth_forward(layer, chunk)
     } else {
-        let h_nbr = assemble_neighbors(ctx, l, i, j, feed);
-        layer.forward(chunk, &h_nbr)
+        layer.forward(chunk, &gather_neighbors(ctx, l, i, j))
     };
     let flops = layer.forward_flops(chunk);
     tl.tag([
@@ -3146,9 +2626,9 @@ fn forward_compute_step<T: Timeline>(
 /// (Alg 1 lines 14–16): the `∇h^{l+1}` load plus the
 /// strategy-dependent checkpoint reload (cached aggregate for the
 /// hybrid path, dedup neighbor reload for recomputation).
-fn backward_load_step<T: Timeline>(
+fn backward_load_step(
     ctx: &StepCtx,
-    tl: &mut T,
+    tl: &mut GpuShard,
     l: usize,
     i: usize,
     j: usize,
@@ -3207,16 +2687,14 @@ fn backward_load_step<T: Timeline>(
 /// accumulation into the merged transition-gradient buffer, and the
 /// inter-GPU gradient pushes. Returns the neighbor gradients `∇h^l_{N_ij}`
 /// for the leader to accumulate into the host store.
-#[allow(clippy::too_many_arguments)]
-fn backward_compute_step<T: Timeline>(
+fn backward_compute_step(
     ctx: &StepCtx,
-    tl: &mut T,
+    tl: &mut GpuShard,
     l: usize,
     i: usize,
     j: usize,
     load: &BwLoad,
     grads: &mut LayerGrads,
-    feed: &NbrFeed,
 ) -> Result<Matrix, SimError> {
     let chunk = &ctx.plan.chunks[i][j];
     let layer = ctx.model.layer(l);
@@ -3256,7 +2734,7 @@ fn backward_compute_step<T: Timeline>(
     } else {
         // Inter-GPU half of the neighbor reload, then full re-forward.
         charge_neighbor_fetch(ctx, tl, l, i, j, row);
-        let h_nbr = assemble_neighbors(ctx, l, i, j, feed);
+        let h_nbr = gather_neighbors(ctx, l, i, j);
         tl.tag([
             Access::read(dev_rep(i), Region::All).with_prov(
                 Provenance::new(ContribKind::Aggregate, l, j).rows(chunk.num_neighbors()),
@@ -3283,9 +2761,9 @@ fn backward_compute_step<T: Timeline>(
 /// Evict phase of backward batch `j` at layer `l` for GPU `i`: all
 /// pushes into this GPU's gradient buffer have landed (phase
 /// barrier), so evict to the host store and release batch memory.
-fn backward_evict_step<T: Timeline>(
+fn backward_evict_step(
     ctx: &StepCtx,
-    tl: &mut T,
+    tl: &mut GpuShard,
     l: usize,
     i: usize,
     j: usize,
@@ -3301,9 +2779,9 @@ fn backward_evict_step<T: Timeline>(
 /// Returns the rows resident in GPU `i`'s merged buffer for this batch
 /// (for memory accounting). The inter-GPU half runs after the phase
 /// barrier in [`charge_neighbor_fetch`].
-fn charge_neighbor_host_load<T: Timeline>(
+fn charge_neighbor_host_load(
     ctx: &StepCtx,
-    tl: &mut T,
+    tl: &mut GpuShard,
     l: usize,
     i: usize,
     j: usize,
@@ -3318,7 +2796,7 @@ fn charge_neighbor_host_load<T: Timeline>(
     // row totals stay the *full* schedule either way — the cache changes
     // how rows arrive, never how many the dataflow ledger moves.
     let cs = ctx.cache_stats(l, i, j);
-    let cache_hit_charge = |tl: &mut T| {
+    let cache_hit_charge = |tl: &mut GpuShard| {
         if cs.hits > 0 {
             // Cache-resident rows are an HBM copy, not a PCIe transfer.
             tl.tag([Access::read(dev_cache(i), Region::All)]);
@@ -3330,7 +2808,7 @@ fn charge_neighbor_host_load<T: Timeline>(
             let rows = chunk.num_neighbors();
             // Rows whose owner partition sits on the other socket cross
             // the QPI link (partitions map to sockets pairwise).
-            let sockets = tl.machine_config().num_sockets;
+            let sockets = tl.config().num_sockets;
             let remote = remote_socket_rows(&batch.fetch[i], i, ctx.plan.m, sockets);
             let mut acc = vec![
                 Access::read(rep(l), Region::All),
@@ -3437,9 +2915,9 @@ fn charge_neighbor_host_load<T: Timeline>(
 /// phase B): fetch remote transition rows into GPU `i`'s merged buffer.
 /// Must run after the phase barrier so every source GPU's owned rows are
 /// resident (otherwise the schedule checker reports a W→R race).
-fn charge_neighbor_fetch<T: Timeline>(
+fn charge_neighbor_fetch(
     ctx: &StepCtx,
-    tl: &mut T,
+    tl: &mut GpuShard,
     l: usize,
     i: usize,
     j: usize,
@@ -3475,8 +2953,8 @@ fn charge_neighbor_fetch<T: Timeline>(
             ]);
             tl.d2d(k, i, rows * row);
             if !ctx.interleaved {
-                // Naive schedule: the serving GPU stalls too (deferred to
-                // the join when running on a per-GPU shard).
+                // Naive schedule: the serving GPU stalls too (charged at
+                // the join, since this shard owns only GPU `i`).
                 tl.source_stall(k, rows * row);
             }
         }
@@ -3486,9 +2964,9 @@ fn charge_neighbor_fetch<T: Timeline>(
 /// Charges the inter-GPU gradient pushes of Algorithm 3: remote
 /// transition-vertex gradients are atomically added into the owning
 /// GPUs' merged gradient buffers (time charged to the pusher).
-fn charge_gradient_push<T: Timeline>(
+fn charge_gradient_push(
     ctx: &StepCtx,
-    tl: &mut T,
+    tl: &mut GpuShard,
     l: usize,
     i: usize,
     j: usize,
@@ -3518,9 +2996,9 @@ fn charge_gradient_push<T: Timeline>(
 /// gradients leave the GPU over PCIe and are added into the host store
 /// `∇h^l`. Must run after the phase barrier so every remote push into
 /// this GPU's buffer has landed.
-fn charge_gradient_evict<T: Timeline>(
+fn charge_gradient_evict(
     ctx: &StepCtx,
-    tl: &mut T,
+    tl: &mut GpuShard,
     l: usize,
     i: usize,
     j: usize,
@@ -3531,7 +3009,7 @@ fn charge_gradient_evict<T: Timeline>(
     match ctx.comm {
         CommMode::Vanilla => {
             let rows = chunk.num_neighbors();
-            let sockets = tl.machine_config().num_sockets;
+            let sockets = tl.config().num_sockets;
             let remote = remote_socket_rows(&batch.fetch[i], i, ctx.plan.m, sockets);
             tl.tag([Access::read(dev_grad(i), Region::All)
                 .with_gen(j as u32)
@@ -3597,7 +3075,7 @@ fn charge_gradient_evict<T: Timeline>(
 /// staging slot `j % 2`. The ℕ^gpu in-place reuse is *not* issued here —
 /// it runs on the compute stream of the previous batch, behind a stream
 /// wait (see [`ov_reuse_handoff`]).
-fn ov_forward_prefetch<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, j: usize) {
+fn ov_forward_prefetch(ctx: &StepCtx, tl: &mut GpuShard, l: usize, i: usize, j: usize) {
     if ctx.pruned(l, j) {
         return;
     }
@@ -3634,14 +3112,14 @@ fn ov_forward_prefetch<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usiz
 /// [`charge_neighbor_host_load`], the ℕ^gpu reuse is deferred to the
 /// compute stream and nothing is allocated — batches live in the static
 /// staging slots.
-fn ov_host_load<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, j: usize, row: usize) {
+fn ov_host_load(ctx: &StepCtx, tl: &mut GpuShard, l: usize, i: usize, j: usize, row: usize) {
     let chunk = &ctx.plan.chunks[i][j];
     let batch = &ctx.dedup.batches[j];
     // Same frozen hot-vertex hit table as [`charge_neighbor_host_load`]:
     // cached rows skip the PCIe charge, install writes ride the H2D
     // event, and provenance row totals stay the full schedule.
     let cs = ctx.cache_stats(l, i, j);
-    let cache_hit_charge = |tl: &mut T| {
+    let cache_hit_charge = |tl: &mut GpuShard| {
         if cs.hits > 0 {
             tl.tag([Access::read(dev_cache(i), Region::All)]);
             tl.reuse(i, cs.hits * row);
@@ -3650,7 +3128,7 @@ fn ov_host_load<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, j: u
     match ctx.comm {
         CommMode::Vanilla => {
             let rows = chunk.num_neighbors();
-            let sockets = tl.machine_config().num_sockets;
+            let sockets = tl.config().num_sockets;
             let remote = remote_socket_rows(&batch.fetch[i], i, ctx.plan.m, sockets);
             let mut acc = vec![
                 Access::read(rep(l), Region::All),
@@ -3710,14 +3188,7 @@ fn ov_host_load<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, j: u
 /// into the slot the copy-in stream is concurrently prefetching. The
 /// stream wait orders it after that H2D — dropping the wait is exactly
 /// the eager-refill write/read race the schedule checker rejects.
-fn ov_reuse_handoff<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    row: usize,
-) {
+fn ov_reuse_handoff(ctx: &StepCtx, tl: &mut GpuShard, l: usize, i: usize, j: usize, row: usize) {
     if ctx.comm != CommMode::P2pRu || j + 1 >= ctx.dedup.n || ctx.pruned(l, j + 1) {
         // A pruned successor was never prefetched: there is no slot
         // refill to hand rows into (its own prefetch covers the rows
@@ -3741,14 +3212,7 @@ fn ov_reuse_handoff<T: Timeline>(
 /// Inter-GPU half of the neighbor load (Algorithm 2 phase B) on the
 /// compute stream, reading source slots the copy-in stream populated a
 /// segment earlier (barrier-ordered, so no stream wait is needed).
-fn ov_neighbor_fetch<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-    row: usize,
-) {
+fn ov_neighbor_fetch(ctx: &StepCtx, tl: &mut GpuShard, l: usize, i: usize, j: usize, row: usize) {
     if ctx.comm == CommMode::Vanilla {
         return;
     }
@@ -3787,13 +3251,7 @@ fn ov_neighbor_fetch<T: Timeline>(
 /// copy-out drain one segment later ([`ov_forward_drain`]); the data
 /// itself is returned as a [`FwOut`] and leader-applied this segment,
 /// exactly as in the phased executor.
-fn ov_forward_compute<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-) -> FwOut {
+fn ov_forward_compute(ctx: &StepCtx, tl: &mut GpuShard, l: usize, i: usize, j: usize) -> FwOut {
     if ctx.pruned(l, j) {
         return FwOut {
             out: Matrix::zeros(0, 0),
@@ -3810,8 +3268,7 @@ fn ov_forward_compute<T: Timeline>(
     let f = if ctx.synth {
         synth_forward(layer, chunk)
     } else {
-        let h_nbr = assemble_neighbors(ctx, l, i, j, &NbrFeed::Direct);
-        layer.forward(chunk, &h_nbr)
+        layer.forward(chunk, &gather_neighbors(ctx, l, i, j))
     };
     let flops = layer.forward_flops(chunk);
     tl.tag([
@@ -3832,7 +3289,7 @@ fn ov_forward_compute<T: Timeline>(
 /// Copy-out-stream drain of forward batch `j` at layer `l` for GPU `i`,
 /// one segment behind its compute: the `h^{l+1}` writeback (Alg 1
 /// line 9) and the hybrid checkpoint store.
-fn ov_forward_drain<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, j: usize) {
+fn ov_forward_drain(ctx: &StepCtx, tl: &mut GpuShard, l: usize, i: usize, j: usize) {
     if ctx.pruned(l, j) {
         return;
     }
@@ -3864,13 +3321,7 @@ fn ov_forward_drain<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, 
 /// `i` (Alg 1 lines 14–16): the `∇h^{l+1}` load plus the
 /// strategy-dependent checkpoint reload, staged into slot `j % 2`.
 /// Returns the gathered `∇h^{l+1}_{V_ij}` rows for the compute segment.
-fn ov_backward_prefetch<T: Timeline>(
-    ctx: &StepCtx,
-    tl: &mut T,
-    l: usize,
-    i: usize,
-    j: usize,
-) -> Matrix {
+fn ov_backward_prefetch(ctx: &StepCtx, tl: &mut GpuShard, l: usize, i: usize, j: usize) -> Matrix {
     tl.set_stream(StreamId::CopyIn.id());
     let chunk = &ctx.plan.chunks[i][j];
     let layer = ctx.model.layer(l);
@@ -3907,9 +3358,9 @@ fn ov_backward_prefetch<T: Timeline>(
 /// (Algorithm 3): recompute + gradient numerics, local accumulation
 /// into the staging gradient slot, the reuse hand-off, and the
 /// inter-GPU gradient pushes. Returns `∇h^l_{N_ij}` for the leader.
-fn ov_backward_compute<T: Timeline>(
+fn ov_backward_compute(
     ctx: &StepCtx,
-    tl: &mut T,
+    tl: &mut GpuShard,
     l: usize,
     i: usize,
     j: usize,
@@ -3952,7 +3403,7 @@ fn ov_backward_compute<T: Timeline>(
     } else {
         // Inter-GPU half of the neighbor reload, then full re-forward.
         ov_neighbor_fetch(ctx, tl, l, i, j, row);
-        let h_nbr = assemble_neighbors(ctx, l, i, j, &NbrFeed::Direct);
+        let h_nbr = gather_neighbors(ctx, l, i, j);
         tl.tag([
             Access::read(rep_slot(i, j), Region::All).with_prov(
                 Provenance::new(ContribKind::Aggregate, l, j).rows(chunk.num_neighbors()),
@@ -3998,7 +3449,7 @@ fn ov_backward_compute<T: Timeline>(
 /// `i`, one segment behind its compute: all pushes into the staging
 /// gradient slot landed before the last batch barrier, so evict the
 /// accumulated chunk gradients to the host store (Algorithm 3).
-fn ov_backward_drain<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize, j: usize) {
+fn ov_backward_drain(ctx: &StepCtx, tl: &mut GpuShard, l: usize, i: usize, j: usize) {
     tl.set_stream(StreamId::CopyOut.id());
     let chunk = &ctx.plan.chunks[i][j];
     let row = ctx.model.layer(l).in_dim() * F32;
@@ -4006,7 +3457,7 @@ fn ov_backward_drain<T: Timeline>(ctx: &StepCtx, tl: &mut T, l: usize, i: usize,
     match ctx.comm {
         CommMode::Vanilla => {
             let rows = chunk.num_neighbors();
-            let sockets = tl.machine_config().num_sockets;
+            let sockets = tl.config().num_sockets;
             let remote = remote_socket_rows(&batch.fetch[i], i, ctx.plan.m, sockets);
             tl.tag([Access::read(grad_slot(i, j), Region::All)
                 .with_gen(j as u32)

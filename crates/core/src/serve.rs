@@ -32,7 +32,7 @@
 
 use crate::cone;
 use hongtu_partition::TwoLevelPartition;
-use hongtu_sim::TimeBuckets;
+use hongtu_sim::{SimError, TimeBuckets};
 use hongtu_tensor::Matrix;
 
 /// Which `(layer, batch)` steps a pruned forward sweep executes. All
@@ -49,15 +49,28 @@ impl ServeMask {
     /// ≤ L-hop dependency cones, expressed as active batches per layer
     /// (module docs give the recurrence).
     ///
+    /// # Errors
+    ///
+    /// [`SimError::EmptyVertexSet`] if `vertices` is empty (an empty
+    /// query has no cone and no meaningful sweep),
+    /// [`SimError::VertexOutOfRange`] if any queried vertex id is out of
+    /// range for the plan's graph.
+    pub fn try_from_queries(
+        plan: &TwoLevelPartition,
+        layers: usize,
+        vertices: &[usize],
+    ) -> Result<ServeMask, SimError> {
+        let active = cone::downward_closed(plan, layers, vertices)?;
+        Ok(ServeMask { active })
+    }
+
+    /// [`ServeMask::try_from_queries`] for a query known to be valid.
+    ///
     /// # Panics
     ///
-    /// Panics if any queried vertex id is out of range for the plan's
-    /// graph, or if `vertices` is empty (an empty query has no cone and
-    /// no meaningful sweep).
+    /// Panics on the errors of [`ServeMask::try_from_queries`].
     pub fn from_queries(plan: &TwoLevelPartition, layers: usize, vertices: &[usize]) -> ServeMask {
-        ServeMask {
-            active: cone::downward_closed(plan, layers, vertices),
-        }
+        Self::try_from_queries(plan, layers, vertices).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Computes the upward-closed union of the dirty vertices' ≤ L-hop
@@ -66,15 +79,28 @@ impl ServeMask {
     /// invalidated those vertices' layer-1 rows ([`crate::cone`] gives
     /// the recurrence and the duality with the query cone).
     ///
+    /// # Errors
+    ///
+    /// [`SimError::EmptyVertexSet`] if `dirty` is empty (a mutation with
+    /// no dirty vertices has nothing to replay),
+    /// [`SimError::VertexOutOfRange`] if any dirty vertex id is out of
+    /// range for the plan's graph.
+    pub fn try_from_dirty(
+        plan: &TwoLevelPartition,
+        layers: usize,
+        dirty: &[usize],
+    ) -> Result<ServeMask, SimError> {
+        let active = cone::upward_closed(plan, layers, dirty)?;
+        Ok(ServeMask { active })
+    }
+
+    /// [`ServeMask::try_from_dirty`] for a dirty set known to be valid.
+    ///
     /// # Panics
     ///
-    /// Panics if any dirty vertex id is out of range for the plan's
-    /// graph, or if `dirty` is empty (a mutation with no dirty vertices
-    /// has nothing to replay).
+    /// Panics on the errors of [`ServeMask::try_from_dirty`].
     pub fn from_dirty(plan: &TwoLevelPartition, layers: usize, dirty: &[usize]) -> ServeMask {
-        ServeMask {
-            active: cone::upward_closed(plan, layers, dirty),
-        }
+        Self::try_from_dirty(plan, layers, dirty).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Whether batch `j` runs at layer `l`.

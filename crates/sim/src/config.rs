@@ -111,8 +111,9 @@ impl MachineConfig {
     // ---- cost formulas ----
     //
     // The analytic cost model lives here (not on `Machine`) so that both
-    // the sequential machine and the per-GPU `GpuShard` timelines of the
-    // parallel executor charge *exactly* the same float expressions.
+    // the machine (leader-side charges such as the all-reduce) and the
+    // per-GPU `GpuShard` timelines the executor steps run on charge
+    // *exactly* the same float expressions.
 
     /// Seconds for a host↔GPU transfer of `bytes` over PCIe.
     pub fn pcie_transfer_seconds(&self, bytes: usize) -> f64 {

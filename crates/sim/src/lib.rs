@@ -34,7 +34,7 @@ pub mod trace;
 pub use config::{CpuClusterConfig, MachineConfig};
 pub use machine::{Machine, TimeBuckets, NUM_STREAMS};
 pub use memory::{MemoryTracker, SimError};
-pub use shard::{GpuShard, Timeline};
+pub use shard::GpuShard;
 pub use trace::{
     Access, BarrierScope, ContribKind, Device, Event, EventKind, Intent, Provenance, Region,
     ResourceId, Trace, PROV_MIXED, PROV_NONE,

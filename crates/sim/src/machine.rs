@@ -4,7 +4,7 @@
 
 use crate::config::MachineConfig;
 use crate::memory::{MemoryTracker, SimError};
-use crate::shard::{GpuShard, Timeline};
+use crate::shard::GpuShard;
 use crate::trace::{Access, BarrierScope, Device, Event, EventKind, Trace};
 
 /// Number of hardware streams modeled per GPU. Stream 0 is the compute /
@@ -420,12 +420,13 @@ impl Machine {
         self.trace.clear();
     }
 
-    // ---- parallel execution ----
+    // ---- per-GPU shards ----
 
-    /// Splits the machine into one [`GpuShard`] per GPU so worker threads
-    /// can charge their GPU's timeline without sharing state. Each shard
-    /// takes ownership of its GPU's clock and memory tracker; the machine
-    /// keeps the host tracker, accumulated buckets, and the trace.
+    /// Splits the machine into one [`GpuShard`] per GPU so each GPU's
+    /// step can charge its own timeline without sharing state, inline or
+    /// on a worker thread. Each shard takes ownership of its GPU's clock
+    /// and memory tracker; the machine keeps the host tracker,
+    /// accumulated buckets, and the trace.
     ///
     /// Call only at a phase boundary (no staged annotations) and pair with
     /// [`Machine::join_shards`] before any further charging.
@@ -454,10 +455,8 @@ impl Machine {
     /// Merges shards produced by [`Machine::fork_shards`] back into the
     /// machine **in GPU index order**: clocks and memory trackers are
     /// restored, per-shard buckets accumulated, and each shard's events
-    /// appended to the trace GPU 0 first — the same order the sequential
-    /// executor emits them, so phased schedules produce bitwise-identical
-    /// traces. Deferred [`Timeline::source_stall`] charges are applied
-    /// last.
+    /// appended to the trace GPU 0 first, whatever order the shards ran
+    /// in. Deferred [`GpuShard::source_stall`] charges are applied last.
     ///
     /// # Panics
     /// Panics if the shards are not exactly this machine's GPUs in order.
@@ -489,78 +488,6 @@ impl Machine {
         for (src, bytes) in stalls {
             self.d2d(src, src, bytes);
         }
-    }
-}
-
-/// [`Machine`] charges its own clocks directly; `source_stall` is the
-/// naive-schedule serving stall, charged inline as a `d2d(src, src, ·)`.
-impl Timeline for Machine {
-    fn machine_config(&self) -> &MachineConfig {
-        &self.config
-    }
-
-    fn tag<I: IntoIterator<Item = Access>>(&mut self, accesses: I) {
-        Machine::tag(self, accesses)
-    }
-
-    fn set_stream(&mut self, stream: u8) {
-        Machine::set_stream(self, stream)
-    }
-
-    fn stream_wait(&mut self, gpu: usize, upstream: u8) {
-        Machine::stream_wait(self, gpu, upstream)
-    }
-
-    fn alloc(&mut self, gpu: usize, bytes: usize, label: &str) -> Result<(), SimError> {
-        Machine::alloc(self, gpu, bytes, label)
-    }
-
-    fn free(&mut self, gpu: usize, bytes: usize) {
-        Machine::free(self, gpu, bytes)
-    }
-
-    fn h2d(&mut self, gpu: usize, bytes: usize) -> f64 {
-        Machine::h2d(self, gpu, bytes)
-    }
-
-    fn h2d_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64 {
-        Machine::h2d_mixed(self, gpu, bytes, remote_bytes)
-    }
-
-    fn d2h(&mut self, gpu: usize, bytes: usize) -> f64 {
-        Machine::d2h(self, gpu, bytes)
-    }
-
-    fn d2h_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64 {
-        Machine::d2h_mixed(self, gpu, bytes, remote_bytes)
-    }
-
-    fn d2d(&mut self, src: usize, dst: usize, bytes: usize) -> f64 {
-        Machine::d2d(self, src, dst, bytes)
-    }
-
-    fn source_stall(&mut self, src: usize, bytes: usize) {
-        Machine::d2d(self, src, src, bytes);
-    }
-
-    fn reuse(&mut self, gpu: usize, bytes: usize) -> f64 {
-        Machine::reuse(self, gpu, bytes)
-    }
-
-    fn gpu_dense(&mut self, gpu: usize, flops: f64) -> f64 {
-        Machine::gpu_dense(self, gpu, flops)
-    }
-
-    fn gpu_edge(&mut self, gpu: usize, flops: f64) -> f64 {
-        Machine::gpu_edge(self, gpu, flops)
-    }
-
-    fn cpu_compute(&mut self, waiting_gpu: usize, flops: f64) -> f64 {
-        Machine::cpu_compute(self, waiting_gpu, flops)
-    }
-
-    fn cpu_accumulate(&mut self, waiting_gpu: usize, bytes: usize) -> f64 {
-        Machine::cpu_accumulate(self, waiting_gpu, bytes)
     }
 }
 
@@ -809,7 +736,7 @@ mod tests {
         // GPU 1 fetching from GPU 0 in naive mode stalls GPU 0; the shard
         // of GPU 1 cannot charge GPU 0, so the stall lands at the join.
         let mut seq = machine();
-        seq.d2d(0, 0, 4096); // sequential form of the serving stall
+        seq.d2d(0, 0, 4096); // the stall charged on GPU 0 directly
         let mut par = machine();
         let mut shards = par.fork_shards();
         shards[1].source_stall(0, 4096);
@@ -817,16 +744,6 @@ mod tests {
         par.join_shards(shards);
         assert_eq!(par.clock(0), seq.clock(0));
         assert_eq!(par.buckets(), seq.buckets());
-    }
-
-    #[test]
-    fn machine_timeline_source_stall_charges_source_inline() {
-        let mut a = machine();
-        Timeline::source_stall(&mut a, 2, 1 << 16);
-        let mut b = machine();
-        b.d2d(2, 2, 1 << 16);
-        assert_eq!(a.clock(2), b.clock(2));
-        assert_eq!(a.buckets(), b.buckets());
     }
 
     #[test]

@@ -42,6 +42,21 @@ pub enum SimError {
         /// Rendered diagnostic report.
         message: String,
     },
+    /// A vertex set handed to a serving or delta entry point was empty:
+    /// it has no dependency cone and nothing to sweep.
+    EmptyVertexSet {
+        /// What the set was (`"query"`, `"dirty set"`).
+        what: &'static str,
+    },
+    /// A vertex set named a vertex the graph does not have.
+    VertexOutOfRange {
+        /// What the set was (`"query"`, `"dirty set"`).
+        what: &'static str,
+        /// The offending vertex id.
+        vertex: usize,
+        /// Number of vertices in the graph.
+        num_vertices: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -67,6 +82,15 @@ impl fmt::Display for SimError {
             SimError::InvalidSchedule { code, message } => {
                 write!(f, "invalid execution schedule [{code}]: {message}")
             }
+            SimError::EmptyVertexSet { what } => write!(f, "empty {what}: no vertex to sweep"),
+            SimError::VertexOutOfRange {
+                what,
+                vertex,
+                num_vertices,
+            } => write!(
+                f,
+                "{what}: vertex {vertex} out of range ({num_vertices} vertices)"
+            ),
         }
     }
 }

@@ -1,105 +1,31 @@
-//! Per-GPU timeline shards for the parallel epoch executor.
+//! Per-GPU timeline shards: where every per-GPU executor step charges.
 //!
-//! The sequential engine charges every simulated operation to a single
-//! [`Machine`](crate::machine::Machine). The parallel executor instead runs
-//! the m GPUs of a batch on m worker threads; each thread owns a
-//! [`GpuShard`] — that GPU's clock, memory tracker, time buckets, and a
-//! private event log — so no charging method ever touches shared state.
-//! [`Machine::fork_shards`](crate::machine::Machine::fork_shards) splits the
-//! machine into shards at a phase boundary and
-//! [`Machine::join_shards`](crate::machine::Machine::join_shards) merges them
-//! back **in GPU index order**, which keeps clocks, buckets, and the trace
-//! bitwise identical to the sequential schedule for the phased execution
-//! modes.
-//!
-//! The [`Timeline`] trait abstracts over the two: engine step functions are
-//! written once, generic over `T: Timeline`, and run unchanged against the
-//! whole machine (sequential mode) or a single shard (parallel mode).
+//! The engine runs each step of a batch (load, compute, evict; or one
+//! pipeline role under double buffering) once per GPU. Each run owns a
+//! [`GpuShard`] — that GPU's stream clocks, memory tracker, time buckets,
+//! and a private event log — so no charging method touches shared state
+//! and the m runs may execute inline or on m worker threads alike.
+//! [`Machine::fork_shards`](crate::machine::Machine::fork_shards) splits
+//! the machine into shards at a phase boundary and
+//! [`Machine::join_shards`](crate::machine::Machine::join_shards) merges
+//! them back **in GPU index order**, so clocks, buckets, and the trace do
+//! not depend on which thread ran which GPU, or when.
 //!
 //! One operation cannot be charged shard-locally: the *naive* schedule's
-//! source-side serving stall (`d2d(k, k, bytes)` — GPU `k` stalls while
-//! GPU `i` fetches from it). A shard for GPU `i` must not touch GPU `k`'s
-//! clock, so [`Timeline::source_stall`] defers the charge; the join applies
-//! deferred stalls after merging. Clock *sums* are unaffected (no barrier
-//! intervenes inside a phase), but event order in the trace differs from
-//! sequential in naive mode.
+//! source-side serving stall (GPU `k` stalls while GPU `i` fetches from
+//! it). A shard for GPU `i` must not touch GPU `k`'s clock, so
+//! [`GpuShard::source_stall`] defers the charge and the join applies the
+//! deferred stalls after merging. No barrier falls inside a phase, so
+//! each GPU's clock at the next barrier carries the same charges; the
+//! stall events follow the phase's other events in the trace.
 
 use crate::config::MachineConfig;
 use crate::machine::{TimeBuckets, NUM_STREAMS};
 use crate::memory::{MemoryTracker, SimError};
 use crate::trace::{Access, Device, Event, EventKind};
 
-/// The charging interface shared by [`Machine`](crate::machine::Machine)
-/// (sequential execution) and [`GpuShard`] (one worker thread of the
-/// parallel executor). Both implementations evaluate the *same* cost
-/// formulas — they live on [`MachineConfig`] — so a schedule charges
-/// identical times through either.
-pub trait Timeline {
-    /// The machine configuration (cost model parameters).
-    fn machine_config(&self) -> &MachineConfig;
-
-    /// Stages access annotations for the next charged operation.
-    fn tag<I: IntoIterator<Item = Access>>(&mut self, accesses: I);
-
-    /// Selects the stream subsequent charges are issued on (see
-    /// [`NUM_STREAMS`](crate::machine::NUM_STREAMS)). The cursor resets to
-    /// the default stream at barriers
-    /// ([`Machine::sync`](crate::machine::Machine::sync)) and at shard
-    /// forks.
-    fn set_stream(&mut self, stream: u8);
-
-    /// Makes GPU `gpu`'s current stream wait for everything issued so far
-    /// on its `upstream` stream: a zero-cost cross-stream dependency that
-    /// joins the current stream's clock up to the upstream's and records
-    /// an [`EventKind::StreamWait`] ordering edge.
-    fn stream_wait(&mut self, gpu: usize, upstream: u8);
-
-    /// Allocates `bytes` on GPU `gpu`.
-    fn alloc(&mut self, gpu: usize, bytes: usize, label: &str) -> Result<(), SimError>;
-
-    /// Frees `bytes` on GPU `gpu`.
-    fn free(&mut self, gpu: usize, bytes: usize);
-
-    /// Charges a host→GPU transfer of `bytes` to GPU `gpu`.
-    fn h2d(&mut self, gpu: usize, bytes: usize) -> f64;
-
-    /// Charges a host→GPU transfer with `remote_bytes` crossing sockets.
-    fn h2d_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64;
-
-    /// Charges a GPU→host transfer of `bytes` to GPU `gpu`.
-    fn d2h(&mut self, gpu: usize, bytes: usize) -> f64;
-
-    /// Charges a GPU→host transfer with `remote_bytes` crossing sockets.
-    fn d2h_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64;
-
-    /// Charges a GPU↔GPU transfer of `bytes` to the initiating GPU `dst`.
-    fn d2d(&mut self, src: usize, dst: usize, bytes: usize) -> f64;
-
-    /// Charges a source-side serving stall: GPU `src` is busy for the
-    /// duration of a `bytes` transfer it serves to another GPU (the naive
-    /// schedule's contention cost). On a [`GpuShard`] that does not own
-    /// `src` the charge is deferred to the join.
-    fn source_stall(&mut self, src: usize, bytes: usize);
-
-    /// Charges an intra-GPU buffer reuse of `bytes` to GPU `gpu`.
-    fn reuse(&mut self, gpu: usize, bytes: usize) -> f64;
-
-    /// Charges `flops` of dense GPU work to GPU `gpu`.
-    fn gpu_dense(&mut self, gpu: usize, flops: f64) -> f64;
-
-    /// Charges `flops` of irregular edge-parallel GPU work to GPU `gpu`.
-    fn gpu_edge(&mut self, gpu: usize, flops: f64) -> f64;
-
-    /// Charges `flops` of host CPU work serialized onto GPU `waiting_gpu`.
-    fn cpu_compute(&mut self, waiting_gpu: usize, flops: f64) -> f64;
-
-    /// Charges a host-side gradient accumulation of `bytes` onto GPU
-    /// `waiting_gpu`.
-    fn cpu_accumulate(&mut self, waiting_gpu: usize, bytes: usize) -> f64;
-}
-
 /// One GPU's private slice of the simulated machine, detached for the
-/// duration of a parallel phase. Built by
+/// duration of one executor phase. Built by
 /// [`Machine::fork_shards`](crate::machine::Machine::fork_shards); every
 /// charging method asserts it is addressed as its own GPU.
 #[derive(Debug)]
@@ -165,21 +91,24 @@ impl GpuShard {
             .with_accesses(accesses),
         );
     }
-}
 
-impl Timeline for GpuShard {
-    fn machine_config(&self) -> &MachineConfig {
+    /// The machine configuration (cost model parameters).
+    pub fn config(&self) -> &MachineConfig {
         &self.config
     }
 
-    fn tag<I: IntoIterator<Item = Access>>(&mut self, accesses: I) {
+    /// Stages access annotations for the next charged operation (no-op
+    /// while tracing is off).
+    pub fn tag<I: IntoIterator<Item = Access>>(&mut self, accesses: I) {
         if !self.tracing {
             return;
         }
         self.pending.extend(accesses);
     }
 
-    fn set_stream(&mut self, stream: u8) {
+    /// Selects the stream subsequent charges are issued on (see
+    /// [`NUM_STREAMS`]). A fresh shard starts on the default stream.
+    pub fn set_stream(&mut self, stream: u8) {
         assert!(
             (stream as usize) < NUM_STREAMS,
             "stream {stream} out of range (NUM_STREAMS = {NUM_STREAMS})"
@@ -187,24 +116,31 @@ impl Timeline for GpuShard {
         self.stream = stream;
     }
 
-    fn stream_wait(&mut self, gpu: usize, upstream: u8) {
+    /// Makes this GPU's current stream wait for everything issued so far
+    /// on its `upstream` stream: a zero-cost cross-stream dependency that
+    /// joins the current stream's clock up to the upstream's and records
+    /// an [`EventKind::StreamWait`] ordering edge.
+    pub fn stream_wait(&mut self, gpu: usize, upstream: u8) {
         self.own(gpu);
         let cur = self.stream as usize;
         self.clock[cur] = self.clock[cur].max(self.clock[upstream as usize]);
         self.record(EventKind::StreamWait { upstream }, 0, 0.0);
     }
 
-    fn alloc(&mut self, gpu: usize, bytes: usize, label: &str) -> Result<(), SimError> {
+    /// Allocates `bytes` on this GPU.
+    pub fn alloc(&mut self, gpu: usize, bytes: usize, label: &str) -> Result<(), SimError> {
         self.own(gpu);
         self.memory.alloc(bytes, label)
     }
 
-    fn free(&mut self, gpu: usize, bytes: usize) {
+    /// Frees `bytes` on this GPU.
+    pub fn free(&mut self, gpu: usize, bytes: usize) {
         self.own(gpu);
         self.memory.free(bytes);
     }
 
-    fn h2d(&mut self, gpu: usize, bytes: usize) -> f64 {
+    /// Charges a host→GPU transfer of `bytes`.
+    pub fn h2d(&mut self, gpu: usize, bytes: usize) -> f64 {
         self.own(gpu);
         let t = self.config.pcie_transfer_seconds(bytes);
         self.clock[self.stream as usize] += t;
@@ -214,7 +150,8 @@ impl Timeline for GpuShard {
         t
     }
 
-    fn h2d_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64 {
+    /// Charges a host→GPU transfer with `remote_bytes` crossing sockets.
+    pub fn h2d_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64 {
         self.own(gpu);
         let t = self.config.mixed_pcie_transfer_seconds(bytes, remote_bytes);
         self.clock[self.stream as usize] += t;
@@ -224,7 +161,8 @@ impl Timeline for GpuShard {
         t
     }
 
-    fn d2h(&mut self, gpu: usize, bytes: usize) -> f64 {
+    /// Charges a GPU→host transfer of `bytes`.
+    pub fn d2h(&mut self, gpu: usize, bytes: usize) -> f64 {
         self.own(gpu);
         let t = self.config.pcie_transfer_seconds(bytes);
         self.clock[self.stream as usize] += t;
@@ -234,7 +172,8 @@ impl Timeline for GpuShard {
         t
     }
 
-    fn d2h_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64 {
+    /// Charges a GPU→host transfer with `remote_bytes` crossing sockets.
+    pub fn d2h_mixed(&mut self, gpu: usize, bytes: usize, remote_bytes: usize) -> f64 {
         self.own(gpu);
         let t = self.config.mixed_pcie_transfer_seconds(bytes, remote_bytes);
         self.clock[self.stream as usize] += t;
@@ -244,7 +183,9 @@ impl Timeline for GpuShard {
         t
     }
 
-    fn d2d(&mut self, _src: usize, dst: usize, bytes: usize) -> f64 {
+    /// Charges a GPU↔GPU transfer of `bytes` to the initiating GPU `dst`
+    /// (pull semantics), which must be this shard's GPU.
+    pub fn d2d(&mut self, _src: usize, dst: usize, bytes: usize) -> f64 {
         self.own(dst);
         let t = self.config.nvlink_transfer_seconds(bytes);
         self.clock[self.stream as usize] += t;
@@ -254,7 +195,11 @@ impl Timeline for GpuShard {
         t
     }
 
-    fn source_stall(&mut self, src: usize, bytes: usize) {
+    /// Charges a source-side serving stall: GPU `src` is busy for the
+    /// duration of a `bytes` transfer it serves to another GPU (the naive
+    /// schedule's contention cost). Charged inline when `src` is this
+    /// shard's GPU, otherwise deferred to the join.
+    pub fn source_stall(&mut self, src: usize, bytes: usize) {
         if src == self.gpu {
             self.d2d(src, src, bytes);
         } else {
@@ -262,7 +207,8 @@ impl Timeline for GpuShard {
         }
     }
 
-    fn reuse(&mut self, gpu: usize, bytes: usize) -> f64 {
+    /// Charges an intra-GPU buffer reuse of `bytes`.
+    pub fn reuse(&mut self, gpu: usize, bytes: usize) -> f64 {
         self.own(gpu);
         let t = self.config.reuse_seconds(bytes);
         self.clock[self.stream as usize] += t;
@@ -272,7 +218,8 @@ impl Timeline for GpuShard {
         t
     }
 
-    fn gpu_dense(&mut self, gpu: usize, flops: f64) -> f64 {
+    /// Charges `flops` of dense GPU work.
+    pub fn gpu_dense(&mut self, gpu: usize, flops: f64) -> f64 {
         self.own(gpu);
         let t = self.config.gpu_dense_seconds(flops);
         self.clock[self.stream as usize] += t;
@@ -281,7 +228,8 @@ impl Timeline for GpuShard {
         t
     }
 
-    fn gpu_edge(&mut self, gpu: usize, flops: f64) -> f64 {
+    /// Charges `flops` of irregular edge-parallel GPU work.
+    pub fn gpu_edge(&mut self, gpu: usize, flops: f64) -> f64 {
         self.own(gpu);
         let t = self.config.gpu_edge_seconds(flops);
         self.clock[self.stream as usize] += t;
@@ -290,7 +238,8 @@ impl Timeline for GpuShard {
         t
     }
 
-    fn cpu_compute(&mut self, waiting_gpu: usize, flops: f64) -> f64 {
+    /// Charges `flops` of host CPU work serialized onto this GPU.
+    pub fn cpu_compute(&mut self, waiting_gpu: usize, flops: f64) -> f64 {
         self.own(waiting_gpu);
         let t = self.config.cpu_compute_seconds(flops);
         self.clock[self.stream as usize] += t;
@@ -299,7 +248,8 @@ impl Timeline for GpuShard {
         t
     }
 
-    fn cpu_accumulate(&mut self, waiting_gpu: usize, bytes: usize) -> f64 {
+    /// Charges a host-side gradient accumulation of `bytes` onto this GPU.
+    pub fn cpu_accumulate(&mut self, waiting_gpu: usize, bytes: usize) -> f64 {
         self.own(waiting_gpu);
         let t = self.config.cpu_accumulate_seconds(bytes);
         self.clock[self.stream as usize] += t;

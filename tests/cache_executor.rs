@@ -293,8 +293,7 @@ fn paranoid_certifies_cache_on_epochs() {
 }
 
 /// The `Plans` facade exposes every synthesized plan coherently: the
-/// cache plan appears iff a policy is enabled, and the deprecated
-/// getters still forward to the same objects.
+/// cache plan appears iff a policy is enabled.
 #[test]
 fn plans_facade_is_coherent() {
     let ds = dataset();
@@ -322,13 +321,4 @@ fn plans_facade_is_coherent() {
     let cache = plans.cache.expect("enabled policy admits a plan");
     assert!(cache.total_rows() > 0);
     assert_eq!(cache.per_gpu.len(), 2);
-    #[allow(deprecated)]
-    {
-        assert!(std::ptr::eq(session.plan(), plans.partition));
-        assert!(std::ptr::eq(session.dedup_plan(), plans.dedup));
-        assert_eq!(
-            session.staging_plans().map(|s| s.len()),
-            plans.staging.map(|s| s.len())
-        );
-    }
 }

@@ -1,8 +1,9 @@
 //! Certification of the parallel epoch executor: the per-GPU worker-thread
 //! schedule must be *bitwise* equivalent to the sequential executor —
-//! identical losses, accuracies, simulated clocks, and time buckets — and
-//! its execution traces must certify race-free under the happens-before
-//! checker, for every model × comm mode × GPU count.
+//! identical losses, accuracies, simulated clocks, and time buckets, on
+//! the interleaved and the naive P2P schedule — and its execution traces
+//! must certify race-free under the happens-before checker, for every
+//! model × comm mode × GPU count.
 //!
 //! The RNG seed is `HONGTU_TEST_SEED` when set (the CI matrix runs two
 //! seeds), 99 otherwise; the worker pool size is `HONGTU_THREADS` (the CI
@@ -18,7 +19,7 @@ use hongtu::datasets::dataset::{with_self_loops, Dataset, DatasetKey, Splits};
 use hongtu::datasets::load;
 use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
-use hongtu::sim::{MachineConfig, Trace};
+use hongtu::sim::{MachineConfig, TimeBuckets, Trace};
 use hongtu::tensor::{Matrix, SeededRng};
 use hongtu::verify::{verify_determinism, verify_trace};
 use proptest::prelude::*;
@@ -65,6 +66,7 @@ struct EpochFacts {
     val: f32,
     test: f32,
     peak: usize,
+    buckets: TimeBuckets,
 }
 
 fn run_epochs(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig, epochs: usize) -> Vec<EpochFacts> {
@@ -79,49 +81,38 @@ fn run_epochs(ds: &Dataset, kind: ModelKind, cfg: HongTuConfig, epochs: usize) -
                 val: engine.accuracy(&ds.splits.val),
                 test: engine.accuracy(&ds.splits.test),
                 peak: engine.machine().max_gpu_peak(),
+                buckets: r.buckets,
             }
         })
         .collect()
 }
 
 /// The headline determinism contract: for every model × comm mode × GPU
-/// count, the parallel executor's losses, accuracies, simulated epoch
-/// times, and peak memory are bitwise identical to the sequential
-/// executor's (f64 equality, no tolerance).
+/// count, on the interleaved and the naive P2P schedule, the parallel
+/// executor's losses, accuracies, simulated epoch times, time buckets,
+/// and peak memory are bitwise identical to the sequential executor's
+/// (f64 equality, no tolerance).
 #[test]
 fn parallel_matches_sequential_bitwise() {
     let ds = dataset();
     for kind in [ModelKind::Gcn, ModelKind::Gat, ModelKind::Sage] {
         for comm in [CommMode::Vanilla, CommMode::P2p, CommMode::P2pRu] {
             for gpus in [1, 2, 4] {
-                let seq = run_epochs(
-                    &ds,
-                    kind,
-                    config(
-                        gpus,
-                        comm,
-                        MemoryStrategy::Recompute,
-                        ExecutionMode::Sequential,
-                    ),
-                    2,
-                );
-                let par = run_epochs(
-                    &ds,
-                    kind,
-                    config(
-                        gpus,
-                        comm,
-                        MemoryStrategy::Recompute,
-                        ExecutionMode::Parallel,
-                    ),
-                    2,
-                );
-                assert_eq!(
-                    seq,
-                    par,
-                    "{} / {comm:?} / {gpus} GPUs: parallel diverged from sequential",
-                    kind.name()
-                );
+                for interleaved in [true, false] {
+                    let [seq, par] =
+                        [ExecutionMode::Sequential, ExecutionMode::Parallel].map(|exec| {
+                            let mut cfg = config(gpus, comm, MemoryStrategy::Recompute, exec);
+                            cfg.interleaved = interleaved;
+                            run_epochs(&ds, kind, cfg, 2)
+                        });
+                    assert_eq!(
+                        seq,
+                        par,
+                        "{} / {comm:?} / {gpus} GPUs / interleaved {interleaved}: \
+                         parallel diverged from sequential",
+                        kind.name()
+                    );
+                }
             }
         }
     }

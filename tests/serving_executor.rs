@@ -22,7 +22,7 @@ use hongtu::graph::generators;
 use hongtu::nn::ModelKind;
 use hongtu::partition::TwoLevelPartition;
 use hongtu::serving::AdmissionControl;
-use hongtu::sim::MachineConfig;
+use hongtu::sim::{MachineConfig, SimError};
 use hongtu::tensor::{Matrix, SeededRng};
 use hongtu::verify::DEFAULT_EXPLORE_BUDGET;
 use proptest::prelude::*;
@@ -224,6 +224,46 @@ fn pruned_sweep_runs_strictly_fewer_events() {
             "{overlap:?}: pruned sweep {serve_events} events !< full sweep {infer_events}"
         );
     }
+}
+
+/// An empty vertex set is a typed error from every entry point that
+/// takes one, and leaves the session usable.
+#[test]
+fn empty_vertex_set_is_a_typed_error() {
+    let ds = dataset();
+    let mut s = session(&ds, ModelKind::Gcn, 2, OverlapMode::Off);
+    let query = SimError::EmptyVertexSet { what: "query" };
+    let dirty = SimError::EmptyVertexSet { what: "dirty set" };
+    assert_eq!(s.serve(&[]).err(), Some(query.clone()));
+    assert_eq!(s.synthesize_serve_schedule(&[]).err(), Some(query.clone()));
+    assert_eq!(s.certify_serve(&[], None).err(), Some(query));
+    assert_eq!(s.synthesize_delta_schedule(&[]).err(), Some(dirty.clone()));
+    assert_eq!(s.certify_delta(&[], None).err(), Some(dirty));
+    s.serve(&[0]).expect("session still serves");
+}
+
+/// A vertex id past the graph is a typed error from every entry point
+/// that takes a vertex set, and leaves the session usable.
+#[test]
+fn out_of_range_vertex_is_a_typed_error() {
+    let ds = dataset();
+    let mut s = session(&ds, ModelKind::Gcn, 2, OverlapMode::Off);
+    let n = ds.graph.num_vertices();
+    let bad = [0, n];
+    let err = |what| SimError::VertexOutOfRange {
+        what,
+        vertex: n,
+        num_vertices: n,
+    };
+    assert_eq!(s.serve(&bad).err(), Some(err("query")));
+    assert_eq!(s.synthesize_serve_schedule(&bad).err(), Some(err("query")));
+    assert_eq!(s.certify_serve(&bad, None).err(), Some(err("query")));
+    assert_eq!(
+        s.synthesize_delta_schedule(&bad).err(),
+        Some(err("dirty set"))
+    );
+    assert_eq!(s.certify_delta(&bad, None).err(), Some(err("dirty set")));
+    s.serve(&[0]).expect("session still serves");
 }
 
 /// An ad-hoc random dataset (not from the registry).
