@@ -803,7 +803,8 @@ impl Session {
 
     /// Builds the session from a caller-supplied 2-level partition plan
     /// (e.g. from a custom partitioner). The plan's `m` must equal the
-    /// machine's GPU count.
+    /// machine's GPU count, or this fails with
+    /// [`SimError::PlanGpuMismatch`].
     pub fn with_plan(
         dataset: &Dataset,
         kind: ModelKind,
@@ -814,11 +815,12 @@ impl Session {
     ) -> Result<Self, SimError> {
         let mut machine = Machine::new(config.machine.clone());
         let m = machine.num_gpus();
-        assert_eq!(
-            plan.m, m,
-            "plan has {} partitions but the machine has {m} GPUs",
-            plan.m
-        );
+        if plan.m != m {
+            return Err(SimError::PlanGpuMismatch {
+                plan_parts: plan.m,
+                gpus: m,
+            });
+        }
         let dims = dataset.model_dims(hidden, layers);
         let mut rng = SeededRng::new(dataset.seed ^ 0x686F6E67);
         let model = GnnModel::new(kind, &dims, &mut rng);

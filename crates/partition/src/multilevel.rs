@@ -18,7 +18,7 @@ use hongtu_graph::{Graph, VertexId};
 use hongtu_tensor::SeededRng;
 
 /// Weighted undirected working graph used internally by the partitioner.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct WorkGraph {
     offsets: Vec<usize>,
     nbrs: Vec<u32>,
@@ -46,37 +46,54 @@ impl WorkGraph {
     /// Symmetrized, weight-merged version of a directed [`Graph`].
     fn from_graph(g: &Graph) -> Self {
         let n = g.num_vertices();
-        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(g.num_edges() * 2);
-        for (s, t) in g.csr.edges() {
-            if s != t {
-                pairs.push((s, t));
-                pairs.push((t, s));
+        Self::assemble(vec![1; n], 2 * g.num_edges(), |v, add| {
+            let v = v as VertexId;
+            for &u in g.out_neighbors(v).iter().chain(g.in_neighbors(v)) {
+                if u != v {
+                    add(u, 1);
+                }
             }
-        }
-        pairs.sort_unstable();
-        let mut offsets = vec![0usize; n + 1];
-        let mut nbrs = Vec::with_capacity(pairs.len());
-        let mut weights: Vec<u64> = Vec::with_capacity(pairs.len());
-        let mut i = 0;
-        while i < pairs.len() {
-            let (s, t) = pairs[i];
-            let mut w = 0u64;
-            while i < pairs.len() && pairs[i] == (s, t) {
-                w += 1;
-                i += 1;
+        })
+    }
+
+    /// Builds the graph row by row, the METIS contraction: `feed(r, add)`
+    /// calls `add(column, weight)` for every contribution to row `r`. The
+    /// weights sum in a dense accumulator, and only the columns the row
+    /// touched are sorted and emitted, so no level sorts its whole edge
+    /// list. `capacity` bounds the number of merged edges.
+    fn assemble(
+        vwgt: Vec<u64>,
+        capacity: usize,
+        mut feed: impl FnMut(usize, &mut dyn FnMut(u32, u64)),
+    ) -> Self {
+        let n = vwgt.len();
+        let mut acc = vec![0u64; n];
+        let mut touched: Vec<u32> = Vec::new();
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut nbrs = Vec::with_capacity(capacity);
+        let mut weights = Vec::with_capacity(capacity);
+        for r in 0..n {
+            feed(r, &mut |c, w| {
+                if acc[c as usize] == 0 {
+                    touched.push(c);
+                }
+                acc[c as usize] += w;
+            });
+            touched.sort_unstable();
+            for c in touched.drain(..) {
+                nbrs.push(c);
+                weights.push(std::mem::take(&mut acc[c as usize]));
             }
-            nbrs.push(t);
-            weights.push(w);
-            offsets[s as usize + 1] += 1;
+            offsets.push(nbrs.len());
         }
-        for v in 0..n {
-            offsets[v + 1] += offsets[v];
-        }
+        nbrs.shrink_to_fit();
+        weights.shrink_to_fit();
         WorkGraph {
             offsets,
             nbrs,
             weights,
-            vwgt: vec![1; n],
+            vwgt,
         }
     }
 }
@@ -124,7 +141,9 @@ impl Partitioner for MultilevelPartitioner {
         let mut cur = base;
         let target = (self.coarsen_per_part * parts).max(64);
         while cur.num_vertices() > target {
-            let (coarse, map) = coarsen_once(&cur, &mut rng);
+            let mut order: Vec<u32> = (0..cur.num_vertices() as u32).collect();
+            rng.shuffle(&mut order);
+            let (coarse, map) = coarsen_once(&cur, &order);
             let shrink = coarse.num_vertices() as f64 / cur.num_vertices() as f64;
             levels.push((cur, map));
             cur = coarse;
@@ -169,14 +188,12 @@ impl Partitioner for MultilevelPartitioner {
     }
 }
 
-/// One round of heavy-edge matching contraction. Returns the coarse graph
-/// and the fine→coarse vertex map.
-fn coarsen_once(g: &WorkGraph, rng: &mut SeededRng) -> (WorkGraph, Vec<u32>) {
+/// One round of heavy-edge matching contraction, visiting vertices in
+/// `order`. Returns the coarse graph and the fine→coarse vertex map.
+fn coarsen_once(g: &WorkGraph, order: &[u32]) -> (WorkGraph, Vec<u32>) {
     let n = g.num_vertices();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    rng.shuffle(&mut order);
     let mut matched = vec![u32::MAX; n];
-    for &v in &order {
+    for &v in order {
         let v = v as usize;
         if matched[v] != u32::MAX {
             continue;
@@ -199,64 +216,35 @@ fn coarsen_once(g: &WorkGraph, rng: &mut SeededRng) -> (WorkGraph, Vec<u32>) {
             None => matched[v] = v as u32, // self-matched (stays singleton)
         }
     }
-    // Number coarse vertices.
+    // Number coarse vertices by their lowest fine member; a singleton's
+    // two members are the same vertex.
     let mut map = vec![u32::MAX; n];
-    let mut next = 0u32;
+    let mut members: Vec<[u32; 2]> = Vec::new();
     for v in 0..n {
-        if map[v] != u32::MAX {
-            continue;
+        if map[v] == u32::MAX {
+            map[v] = members.len() as u32;
+            map[matched[v] as usize] = members.len() as u32;
+            members.push([v as u32, matched[v]]);
         }
-        map[v] = next;
-        let m = matched[v] as usize;
-        if m != v && map[m] == u32::MAX {
-            map[m] = next;
-        }
-        next += 1;
     }
-    let cn = next as usize;
-    // Aggregate vertex weights and edges.
-    let mut vwgt = vec![0u64; cn];
-    for v in 0..n {
-        vwgt[map[v] as usize] += g.vwgt[v];
-    }
-    let mut pairs: Vec<(u32, u32, u64)> = Vec::new();
-    for v in 0..n {
-        let cv = map[v];
-        for (u, w) in g.neighbors(v) {
-            let cu = map[u as usize];
-            if cv != cu {
-                pairs.push((cv, cu, w));
+    let fine = |[a, b]: [u32; 2]| [a, b].into_iter().take(1 + usize::from(a != b));
+    let vwgt = members
+        .iter()
+        .map(|&m| fine(m).map(|v| g.vwgt[v as usize]).sum())
+        .collect();
+    // Each coarse row sums its members' rows mapped through `map`, minus
+    // the edges the contraction turns into self-loops.
+    let coarse = WorkGraph::assemble(vwgt, g.nbrs.len(), |c, add| {
+        for v in fine(members[c]) {
+            for (u, w) in g.neighbors(v as usize) {
+                let cu = map[u as usize];
+                if cu as usize != c {
+                    add(cu, w);
+                }
             }
         }
-    }
-    pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
-    let mut offsets = vec![0usize; cn + 1];
-    let mut nbrs = Vec::new();
-    let mut weights = Vec::new();
-    let mut i = 0;
-    while i < pairs.len() {
-        let (a, b, _) = pairs[i];
-        let mut w = 0u64;
-        while i < pairs.len() && pairs[i].0 == a && pairs[i].1 == b {
-            w += pairs[i].2;
-            i += 1;
-        }
-        nbrs.push(b);
-        weights.push(w);
-        offsets[a as usize + 1] += 1;
-    }
-    for v in 0..cn {
-        offsets[v + 1] += offsets[v];
-    }
-    (
-        WorkGraph {
-            offsets,
-            nbrs,
-            weights,
-            vwgt,
-        },
-        map,
-    )
+    });
+    (coarse, map)
 }
 
 /// Greedy region growing over the (coarse) graph.
@@ -332,12 +320,12 @@ fn refine(g: &WorkGraph, labels: &mut [u32], parts: usize, eps: f64, passes: usi
         part_wgt[l as usize] += g.vwgt[v];
     }
     let mut conn = vec![0u64; parts];
+    let mut touched: Vec<usize> = Vec::with_capacity(8);
     for _ in 0..passes {
         let mut moved = 0usize;
         for v in 0..g.num_vertices() {
             let from = labels[v] as usize;
             // Connectivity of v to each partition.
-            let mut touched: Vec<usize> = Vec::with_capacity(8);
             for (u, w) in g.neighbors(v) {
                 let p = labels[u as usize] as usize;
                 if conn[p] == 0 {
@@ -363,7 +351,7 @@ fn refine(g: &WorkGraph, labels: &mut [u32], parts: usize, eps: f64, passes: usi
                 part_wgt[p] += g.vwgt[v];
                 moved += 1;
             }
-            for &p in &touched {
+            for p in touched.drain(..) {
                 conn[p] = 0;
             }
         }
@@ -476,6 +464,212 @@ mod tests {
             b.add_undirected(base as u32, next as u32);
         }
         b.build()
+    }
+
+    /// The sort-based builder [`WorkGraph::from_graph`] replaced: the
+    /// oracle for the row-wise assembler.
+    fn from_graph_sorted(g: &Graph) -> WorkGraph {
+        let n = g.num_vertices();
+        let mut pairs: Vec<(u32, u32)> = Vec::with_capacity(g.num_edges() * 2);
+        for (s, t) in g.csr.edges() {
+            if s != t {
+                pairs.push((s, t));
+                pairs.push((t, s));
+            }
+        }
+        pairs.sort_unstable();
+        let mut offsets = vec![0usize; n + 1];
+        let mut nbrs = Vec::with_capacity(pairs.len());
+        let mut weights: Vec<u64> = Vec::with_capacity(pairs.len());
+        let mut i = 0;
+        while i < pairs.len() {
+            let (s, t) = pairs[i];
+            let mut w = 0u64;
+            while i < pairs.len() && pairs[i] == (s, t) {
+                w += 1;
+                i += 1;
+            }
+            nbrs.push(t);
+            weights.push(w);
+            offsets[s as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        WorkGraph {
+            offsets,
+            nbrs,
+            weights,
+            vwgt: vec![1; n],
+        }
+    }
+
+    /// The sort-based [`coarsen_once`] it replaced: the same matching,
+    /// then one sort over every coarse edge of the level.
+    fn coarsen_once_sorted(g: &WorkGraph, order: &[u32]) -> (WorkGraph, Vec<u32>) {
+        let n = g.num_vertices();
+        let mut matched = vec![u32::MAX; n];
+        for &v in order {
+            let v = v as usize;
+            if matched[v] != u32::MAX {
+                continue;
+            }
+            let mut best: Option<(u32, u64)> = None;
+            for (u, w) in g.neighbors(v) {
+                if matched[u as usize] == u32::MAX
+                    && u as usize != v
+                    && best.is_none_or(|(_, bw)| w > bw)
+                {
+                    best = Some((u, w));
+                }
+            }
+            match best {
+                Some((u, _)) => {
+                    matched[v] = u;
+                    matched[u as usize] = v as u32;
+                }
+                None => matched[v] = v as u32,
+            }
+        }
+        let mut map = vec![u32::MAX; n];
+        let mut next = 0u32;
+        for v in 0..n {
+            if map[v] != u32::MAX {
+                continue;
+            }
+            map[v] = next;
+            let m = matched[v] as usize;
+            if m != v && map[m] == u32::MAX {
+                map[m] = next;
+            }
+            next += 1;
+        }
+        let cn = next as usize;
+        let mut vwgt = vec![0u64; cn];
+        for v in 0..n {
+            vwgt[map[v] as usize] += g.vwgt[v];
+        }
+        let mut pairs: Vec<(u32, u32, u64)> = Vec::new();
+        for v in 0..n {
+            let cv = map[v];
+            for (u, w) in g.neighbors(v) {
+                let cu = map[u as usize];
+                if cv != cu {
+                    pairs.push((cv, cu, w));
+                }
+            }
+        }
+        pairs.sort_unstable_by_key(|&(a, b, _)| (a, b));
+        let mut offsets = vec![0usize; cn + 1];
+        let mut nbrs = Vec::new();
+        let mut weights = Vec::new();
+        let mut i = 0;
+        while i < pairs.len() {
+            let (a, b, _) = pairs[i];
+            let mut w = 0u64;
+            while i < pairs.len() && pairs[i].0 == a && pairs[i].1 == b {
+                w += pairs[i].2;
+                i += 1;
+            }
+            nbrs.push(b);
+            weights.push(w);
+            offsets[a as usize + 1] += 1;
+        }
+        for v in 0..cn {
+            offsets[v + 1] += offsets[v];
+        }
+        (
+            WorkGraph {
+                offsets,
+                nbrs,
+                weights,
+                vwgt,
+            },
+            map,
+        )
+    }
+
+    /// Asserts the row-wise builders equal the sort-based ones on `g` and
+    /// on up to `max_levels` coarsenings of it, each level fed one shuffled
+    /// order; returns how many levels were compared.
+    fn assert_builders_agree(g: &Graph, seed: u64, max_levels: usize) -> usize {
+        let mut cur = WorkGraph::from_graph(g);
+        assert_eq!(cur, from_graph_sorted(g), "base graph differs");
+        let mut rng = SeededRng::new(seed);
+        let mut levels = 0;
+        while levels < max_levels && cur.num_vertices() > 1 {
+            let mut order: Vec<u32> = (0..cur.num_vertices() as u32).collect();
+            rng.shuffle(&mut order);
+            let (coarse, map) = coarsen_once(&cur, &order);
+            let (want, want_map) = coarsen_once_sorted(&cur, &order);
+            assert_eq!(map, want_map, "level {levels}: map differs");
+            assert_eq!(coarse, want, "level {levels}: coarse graph differs");
+            levels += 1;
+            if coarse.num_vertices() == cur.num_vertices() {
+                break;
+            }
+            cur = coarse;
+        }
+        levels
+    }
+
+    #[test]
+    fn row_assembler_matches_sorted_builders_on_generated_graphs() {
+        let mut rng = SeededRng::new(21);
+        let graphs = [
+            generators::erdos_renyi(3000, 6.0, &mut rng),
+            generators::web_hybrid(4000, 8.0, 0.82, 250.0, &mut rng),
+            generators::rmat(12, 40_000, generators::RmatParams::social(), &mut rng),
+        ];
+        for (i, g) in graphs.iter().enumerate() {
+            let levels = assert_builders_agree(g, 5 + i as u64, 12);
+            assert!(levels >= 4, "graph {i}: only {levels} levels");
+        }
+    }
+
+    #[test]
+    fn row_assembler_matches_sorted_builders_on_cliques_and_stars() {
+        assert!(assert_builders_agree(&ring_of_cliques(6, 9), 3, 12) >= 4);
+        let mut b = hongtu_graph::GraphBuilder::new(300);
+        for v in 1..300u32 {
+            b.add_undirected(0, v);
+        }
+        assert!(assert_builders_agree(&b.build(), 4, 6) >= 6);
+    }
+
+    #[test]
+    fn row_assembler_matches_sorted_builders_with_isolated_vertices_and_self_loops() {
+        // Vertices 60..80 have no edges; every fifth vertex has a self-loop
+        // and a reverse edge, which doubles that pair's weight.
+        let mut b = hongtu_graph::GraphBuilder::new(80).keep_self_loops();
+        for v in 0..60u32 {
+            b.add_edge(v, (v * 7 + 3) % 60);
+            b.add_edge(v, (v + 1) % 60);
+            if v % 5 == 0 {
+                b.add_edge(v, v);
+                b.add_edge((v + 1) % 60, v);
+            }
+        }
+        assert!(assert_builders_agree(&b.build(), 8, 12) >= 3);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(48))]
+        /// Random edge lists, self-loops and edges in both directions
+        /// included: the builders agree at every level down to a fixed
+        /// point.
+        #[test]
+        fn row_assembler_matches_sorted_builders_on_random_edge_lists(
+            n in 1usize..60,
+            seed in 0u64..1000,
+            raw in proptest::collection::vec((0u32..60, 0u32..60), 0..300)
+        ) {
+            let mut b = hongtu_graph::GraphBuilder::new(n).keep_self_loops();
+            for (s, t) in raw {
+                b.add_edge(s % n as u32, t % n as u32);
+            }
+            assert_builders_agree(&b.build(), seed, usize::MAX);
+        }
     }
 
     #[test]

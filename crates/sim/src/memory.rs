@@ -57,6 +57,14 @@ pub enum SimError {
         /// Number of vertices in the graph.
         num_vertices: usize,
     },
+    /// A caller-supplied partition plan was cut for a different number of
+    /// GPUs than the machine has.
+    PlanGpuMismatch {
+        /// Partitions in the plan (its `m`).
+        plan_parts: usize,
+        /// GPUs the machine is configured with.
+        gpus: usize,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -90,6 +98,10 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "{what}: vertex {vertex} out of range ({num_vertices} vertices)"
+            ),
+            SimError::PlanGpuMismatch { plan_parts, gpus } => write!(
+                f,
+                "plan has {plan_parts} partitions but the machine has {gpus} GPUs"
             ),
         }
     }

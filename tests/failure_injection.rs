@@ -3,7 +3,7 @@
 //! wrong.
 
 use hongtu::core::systems::{InMemoryKind, MultiGpuInMemory, Workload};
-use hongtu::core::{HongTuConfig, HongTuEngine, OverlapMode};
+use hongtu::core::{HongTuConfig, HongTuEngine, OverlapMode, Session};
 use hongtu::datasets::{load, DatasetKey};
 use hongtu::nn::ModelKind;
 use hongtu::sim::{MachineConfig, SimError};
@@ -138,6 +138,33 @@ fn oversized_chunk_count_panics_with_context() {
     let cfg = HongTuConfig::full(MachineConfig::scaled(4, 256 << 20));
     // RDT has 3000 vertices / 4 partitions = 750 per partition.
     let _ = HongTuEngine::new(&ds, ModelKind::Gcn, 8, 2, 1000, cfg);
+}
+
+/// A caller-supplied plan cut for another GPU count is refused with a typed
+/// error naming both counts, not a panic.
+#[test]
+fn plan_for_other_gpu_count_is_a_typed_error() {
+    let ds = rdt();
+    let plan = hongtu::partition::TwoLevelPartition::build(&ds.graph, 2, 4, ds.seed);
+    let cfg = HongTuConfig::full(MachineConfig::scaled(4, 256 << 20));
+    let err = match Session::with_plan(&ds, ModelKind::Gcn, 8, 2, plan, cfg) {
+        Err(e) => e,
+        Ok(_) => panic!("a 2-partition plan cannot run on 4 GPUs"),
+    };
+    assert!(
+        matches!(
+            err,
+            SimError::PlanGpuMismatch {
+                plan_parts: 2,
+                gpus: 4
+            }
+        ),
+        "{err:?}"
+    );
+    assert_eq!(
+        err.to_string(),
+        "plan has 2 partitions but the machine has 4 GPUs"
+    );
 }
 
 /// Corrupt checkpoint files fail to load with a format error, and a

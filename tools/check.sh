@@ -7,6 +7,11 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo build perfbench (the repository benchmark, a package of its own)"
+# Nothing else compiles perfbench/, so this catches a public-API change
+# that would break the benchmark.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 
